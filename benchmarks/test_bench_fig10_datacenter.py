@@ -2,7 +2,7 @@
 
 Not a paper artefact: pins the cost of the fig10 study's hot path.  The
 supervisory datacenter engine advances every rack through warm-start
-transient :class:`~repro.core.rack_session.RackSession` steps on one
+transient :class:`~repro.datacenter.floor.FloorEngine` steps on one
 shared factorization cache; the naive baseline is what a first
 implementation would do — re-solve every server to steady state every
 control period through cache-less simulators, refactorizing the operator

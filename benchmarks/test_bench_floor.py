@@ -3,12 +3,13 @@
 Not a paper artefact: pins the win of the floor engine's ownership
 inversion.  Both paths run the *same* :class:`DatacenterModel` floor —
 shared thermal simulator, shared factorization cache, identical physics
-and decisions — and differ only in orchestration: ``engine="floor"``
+and decisions — and differ only in orchestration: the floor engine
 advances every server on the floor through one stacked multi-RHS
 back-substitution per (hardware group, cooling boundary) per substep with
-floor-wide power-model memoization and lane-march batching, while
-``engine="per-rack"`` walks racks one :func:`run_rack_period` at a time
-(the previous datacenter layer).  ``test_floor_engine_speedup_vs_per_rack``
+floor-wide power-model memoization and lane-march batching, while the
+golden reference (``tests/reference_rack_lane.py``) walks racks one
+``run_rack_period`` at a time (the previous datacenter layer).
+``test_floor_engine_speedup_vs_per_rack``
 is a hard gate (also run by the CI ``--quick`` smoke step) so the floor
 cannot silently regress to per-rack stepping;
 ``test_heterogeneous_floor_runs_stacked`` pins that a mixed-SKU floor
@@ -29,6 +30,7 @@ from repro.thermosyphon.design import (
     PAPER_OPTIMIZED_DESIGN,
     SEURET_REFERENCE_DESIGN,
 )
+from tests.reference_rack_lane import run_reference_floor
 
 CELL_SIZE_MM = 3.0
 N_RACKS = 32
@@ -71,8 +73,8 @@ def _setup():
     return floorplan, power_model, racks, plant
 
 
-def _run(floorplan, power_model, racks, plant, engine):
-    floor = DatacenterModel(
+def _model(floorplan, power_model, racks, plant):
+    return DatacenterModel(
         racks,
         plant=plant,
         floorplan=floorplan,
@@ -80,21 +82,31 @@ def _run(floorplan, power_model, racks, plant, engine):
         thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
         control_period_s=CONTROL_PERIOD_S,
         transient_substeps=TRANSIENT_SUBSTEPS,
-        engine=engine,
     )
-    return floor.run_trace(duration_s=DURATION_S)
+
+
+def _run(floorplan, power_model, racks, plant):
+    return _model(floorplan, power_model, racks, plant).run_trace(
+        duration_s=DURATION_S
+    )
+
+
+def _run_per_rack(floorplan, power_model, racks, plant):
+    return run_reference_floor(
+        _model(floorplan, power_model, racks, plant), duration_s=DURATION_S
+    )
 
 
 def test_bench_floor_engine(benchmark):
     floorplan, power_model, racks, plant = _setup()
-    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant, "floor"))
+    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant))
     assert trace.n_periods == int(DURATION_S / CONTROL_PERIOD_S)
     assert trace.n_servers == N_RACKS * SERVERS_PER_RACK
 
 
 def test_bench_floor_per_rack_baseline(benchmark):
     floorplan, power_model, racks, plant = _setup()
-    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant, "per-rack"))
+    trace = benchmark(lambda: _run_per_rack(floorplan, power_model, racks, plant))
     assert trace.n_periods == int(DURATION_S / CONTROL_PERIOD_S)
 
 
@@ -111,14 +123,14 @@ def test_floor_engine_speedup_vs_per_rack(capsys):
     floorplan, power_model, racks, plant = _setup()
 
     start = time.perf_counter()
-    baseline_trace = _run(floorplan, power_model, racks, plant, "per-rack")
+    baseline_trace = _run_per_rack(floorplan, power_model, racks, plant)
     per_rack_s = time.perf_counter() - start
 
     timings = []
     trace = None
     for _ in range(3):
         start = time.perf_counter()
-        trace = _run(floorplan, power_model, racks, plant, "floor")
+        trace = _run(floorplan, power_model, racks, plant)
         timings.append(time.perf_counter() - start)
     floor_s = min(timings)
 
@@ -181,7 +193,6 @@ def test_heterogeneous_floor_runs_stacked(capsys):
     )
     assert floor.n_hardware_groups == 2
     session = floor.session()
-    assert session.floor_engine is not None
     assert session.floor_engine.n_hardware_groups == 2
 
     start = time.perf_counter()

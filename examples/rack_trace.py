@@ -1,8 +1,8 @@
 """Rack-scale runtime control: every server batched through one operator.
 
 Drives the flow-rate-first/DVFS-second runtime controller over a whole
-homogeneous rack at once.  The rack engine
-(:class:`repro.core.rack_session.RackSession`) stacks the per-server
+homogeneous rack at once.  The rack runs as a one-rack floor of
+:class:`repro.datacenter.floor.FloorEngine`, which stacks the per-server
 temperature fields into one ``(n_servers, n_cells)`` array and advances all
 servers holding the same cooling boundary through a single cached
 factorization per substep (multi-column back-substitution), so the rack

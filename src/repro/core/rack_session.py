@@ -1,4 +1,4 @@
-"""Rack-scale simulation engine: every server batched through one operator.
+"""Rack-scale simulation: every server batched through one operator.
 
 Section V evaluates whole racks — many thermosyphon-cooled servers behind
 one chiller — and rack hardware is homogeneous: every server carries the
@@ -6,14 +6,8 @@ same CPU, the same thermosyphon design and therefore the *same thermal
 network*.  :class:`RackSession` exploits that: instead of running
 ``n_servers`` independent :class:`~repro.core.session.SimulationSession`
 pipelines (each paying its own operator factorization, lane march and
-loop-convergence iteration), it owns the stacked per-server state —
-
-* the temperature fields as one ``(n_servers, n_cells)`` array, and
-* one held cooling-boundary state per server (operating point + per-cell
-  HTC/fluid maps), refreshed under the same drift policy as the
-  single-server session —
-
-and batches every layer of the evaluation:
+loop-convergence iteration), it batches every layer of a rack's
+evaluation:
 
 1. **Loop layer** — servers are grouped by ``(water loop, total power)``;
    each group converges the thermosyphon operating point once.
@@ -26,11 +20,18 @@ and batches every layer of the evaluation:
    (:meth:`ThermalSimulator.steady_state_many_from_maps` /
    :meth:`~ThermalSimulator.transient_step_many_from_maps`).
 
-Because SuperLU back-substitutes multi-column right-hand sides column by
-column and the lane march is elementwise across lanes, every batched result
-is identical (to the last bit) to the per-server path — the per-server
-session stays the golden model.  On a homogeneous rack the whole rack costs
-*one* factorization where independent sessions pay ``n_servers``.
+On a homogeneous rack the whole rack costs *one* factorization where
+independent sessions pay ``n_servers``; the batched steady lane
+(:meth:`RackSession.solve_steady`) matches independent per-server sessions
+to <= 1e-12.
+
+On the transient lane a rack session holds one cooling-boundary state per
+server (operating point + per-cell HTC/fluid maps), refreshed under the
+same drift policy as the single-server session, plus each server's last
+settle residual.  The temperature fields themselves belong to
+:class:`~repro.datacenter.floor.FloorEngine`, which advances every rack of
+a floor — a single rack is a one-rack floor — and hands each rack its row
+block through :meth:`RackSession.finish_advance`.
 """
 
 from __future__ import annotations
@@ -89,21 +90,18 @@ class _HeldBoundary:
 class RackSessionSnapshot:
     """Frozen copy of a :class:`RackSession`'s mutable state.
 
-    Captures everything :meth:`RackSession.advance` evolves — the stacked
-    temperature fields, the held cooling boundaries and the last settle
-    residuals.  The boundary entries are themselves frozen dataclasses, so
-    only the field array needs a defensive copy; a snapshot/restore pair is
-    two array copies, which is what makes speculative MPC rollouts cheap.
+    The held cooling boundaries and the last settle residuals; the boundary
+    entries are themselves frozen dataclasses, so no copy is needed.  The
+    temperature fields are snapshotted by the floor engine that owns them.
     """
 
-    temperatures: np.ndarray | None
     boundaries: tuple[_HeldBoundary | None, ...]
     last_residuals: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
 class ServerAdvance:
-    """Per-server outcome of one :meth:`RackSession.advance` call."""
+    """Per-server outcome of one transient control period."""
 
     result: EvaluationResult
     settle_residual_c: float
@@ -141,8 +139,8 @@ class RackSession:
     Parameters
     ----------
     n_servers:
-        Number of servers in the rack.  Every :meth:`solve_steady` /
-        :meth:`advance` call must provide exactly this many loads.
+        Number of servers in the rack.  Every :meth:`solve_steady` call and
+        every floor advance must provide exactly this many loads.
     floorplan, design, power_model, thermal_simulator, cell_size_mm:
         The shared hardware substrate, as for
         :class:`~repro.core.session.SimulationSession`.  One thermal
@@ -189,7 +187,6 @@ class RackSession:
             adaptive_residual_reference_c, "adaptive_residual_reference_c"
         )
         self._mapper = ThreadMapper(self.floorplan, orientation=design.orientation)
-        self._temperatures: np.ndarray | None = None
         self._boundaries: list[_HeldBoundary | None] = [None] * self.n_servers
         self._last_residuals: list[float | None] = [None] * self.n_servers
         # Case temperature is one cell of the heat-spreader plane; resolve
@@ -199,16 +196,8 @@ class RackSession:
     # ------------------------------------------------------------------ #
     # Introspection and state management
     # ------------------------------------------------------------------ #
-    @property
-    def temperatures(self) -> np.ndarray | None:
-        """Stacked ``(n_servers, n_cells)`` fields, or None before a trace."""
-        if self._temperatures is None:
-            return None
-        return self._temperatures.copy()
-
     def reset(self) -> None:
-        """Forget every server's temperature field and boundary state."""
-        self._temperatures = None
+        """Forget every server's boundary state and settle residual."""
         self._boundaries = [None] * self.n_servers
         self._last_residuals = [None] * self.n_servers
 
@@ -221,24 +210,12 @@ class RackSession:
         back-substitutions.
         """
         return RackSessionSnapshot(
-            temperatures=(
-                None if self._temperatures is None else self._temperatures.copy()
-            ),
             boundaries=tuple(self._boundaries),
             last_residuals=tuple(self._last_residuals),
         )
 
-    def restore(
-        self, snapshot: RackSessionSnapshot, *, fields: np.ndarray | None = None
-    ) -> None:
-        """Rewind the session to a :meth:`snapshot`'s state.
-
-        ``fields`` optionally rebinds the temperature state onto an
-        externally restored array — the floor engine passes the row-block
-        view into its restored group array, preserving the view
-        relationship :meth:`finish_advance` established; standalone callers
-        omit it and re-adopt a private copy of the snapshot's array.
-        """
+    def restore(self, snapshot: RackSessionSnapshot) -> None:
+        """Rewind the session to a :meth:`snapshot`'s state."""
         if len(snapshot.boundaries) != self.n_servers:
             raise ValidationError(
                 f"snapshot holds {len(snapshot.boundaries)} servers, "
@@ -246,12 +223,6 @@ class RackSession:
             )
         self._boundaries = list(snapshot.boundaries)
         self._last_residuals = list(snapshot.last_residuals)
-        if fields is not None:
-            self._temperatures = fields
-        elif snapshot.temperatures is None:
-            self._temperatures = None
-        else:
-            self._temperatures = snapshot.temperatures.copy()
 
     def cache_stats(self) -> CacheStats:
         """Factorization-cache counters of the shared thermal simulator.
@@ -401,7 +372,7 @@ class RackSession:
         loads: Sequence[ServerLoad],
         breakdowns: Sequence[PowerBreakdown],
         fields: np.ndarray,
-        operating_points: dict[int, LoopOperatingPoint],
+        operating_points: Sequence[LoopOperatingPoint],
         boundaries: Sequence[BoundaryResult],
         water_loops: Sequence[WaterLoop],
     ) -> list[EvaluationResult]:
@@ -440,10 +411,11 @@ class RackSession:
             power_maps, water_loops, range(len(loads))
         )
         boundary_map = self._cooling_boundaries(power_maps, operating_points)
+        points = [operating_points[index] for index in range(len(loads))]
         boundaries = [boundary_map[index] for index in range(len(loads))]
         fields = self._steady_fields(power_maps, boundaries)
         return self._build_results(
-            loads, breakdowns, fields, operating_points, boundaries, water_loops
+            loads, breakdowns, fields, points, boundaries, water_loops
         )
 
     # ------------------------------------------------------------------ #
@@ -488,12 +460,10 @@ class RackSession:
     ) -> list[bool]:
         """Which servers must rebuild their cooling boundary this period.
 
-        Pure planning — nothing is rebuilt yet.  The standalone
-        :meth:`advance` refreshes the flagged servers rack-locally through
-        :meth:`refresh_boundaries`; the datacenter floor engine instead
-        collects every flagged server on the floor and batches the loop
-        convergence and lane marches across racks before handing each
-        boundary back through :meth:`store_boundary`.
+        Pure planning — nothing is rebuilt yet.  The floor engine collects
+        every flagged server on the floor and batches the loop convergence
+        and lane marches across racks before handing each boundary back
+        through :meth:`store_boundary`.
         """
         return [
             self._needs_refresh(
@@ -518,27 +488,6 @@ class RackSession:
             total_power_w=total_power_w,
         )
 
-    def refresh_boundaries(
-        self,
-        power_maps: np.ndarray,
-        water_loops: Sequence[WaterLoop],
-        refreshed: Sequence[bool],
-    ) -> None:
-        """Rebuild the flagged servers' boundaries, batched rack-locally."""
-        stale = [index for index in range(self.n_servers) if refreshed[index]]
-        if not stale:
-            return
-        operating_points = self._operating_points(power_maps, water_loops, stale)
-        boundary_map = self._cooling_boundaries(power_maps, operating_points)
-        for index in stale:
-            self.store_boundary(
-                index,
-                operating_points[index],
-                boundary_map[index],
-                water_loops[index],
-                float(power_maps[index].sum()),
-            )
-
     def held_boundaries(self) -> list[_HeldBoundary]:
         """Every server's held boundary state (raises before the first hold)."""
         held = [state for state in self._boundaries if state is not None]
@@ -553,16 +502,6 @@ class RackSession:
         """Flat cell index of the ``T_CASE`` measurement point."""
         return self._case_cell_index
 
-    @property
-    def fields(self) -> np.ndarray | None:
-        """The live stacked state array (no copy; None before a trace).
-
-        The floor engine reads this to seed its group arrays and rebinds it
-        through :meth:`finish_advance` — ordinary callers should use the
-        copying :attr:`temperatures` instead.
-        """
-        return self._temperatures
-
     def finish_advance(
         self,
         loads: Sequence[ServerLoad],
@@ -575,106 +514,29 @@ class RackSession:
         dt_s: float,
         n_substeps: int,
     ) -> RackAdvance:
-        """Adopt advanced fields and build the per-server results.
+        """Record settle residuals and build the per-server results.
 
-        ``fields`` becomes the session's state — when the floor engine
-        calls this, it is a row-block **view** of the floor's stacked group
-        array, which is exactly how a rack session participates in a floor:
-        same API, state owned one level up.
+        ``fields`` is the rack's row block of the floor engine's stacked
+        group array after the period; the session reads it without keeping
+        it — the floor owns the temperature state.
         """
-        self._temperatures = fields
         held = self.held_boundaries()
-        servers = []
-        for index, load in enumerate(loads):
-            self._last_residuals[index] = float(residuals[index])
-            state = held[index]
-            result = build_evaluation_result(
-                benchmark_name=load.benchmark.name,
-                configuration=load.mapping.configuration,
-                mapping=load.mapping,
-                breakdown=breakdowns[index],
-                thermal_result=self.thermal_simulator.result_from_vector(fields[index]),
-                operating_point=state.operating_point,
-                boundary_result=state.boundary_result,
-                water_loop=water_loops[index],
-            )
-            servers.append(
-                ServerAdvance(
-                    result=result,
-                    settle_residual_c=float(residuals[index]),
-                    period_peak_case_c=float(peak_case[index]),
-                    boundary_refreshed=bool(refreshed[index]),
-                )
-            )
-        return RackAdvance(servers=tuple(servers), dt_s=dt_s, n_substeps=n_substeps)
-
-    def advance(
-        self,
-        loads: Sequence[ServerLoad],
-        dt_s: float = 1.0,
-        *,
-        n_substeps: int = 1,
-        force_boundary_refresh: bool | Sequence[bool] = False,
-    ) -> RackAdvance:
-        """Advance every server's field by ``dt_s`` at its current load.
-
-        The rack-wide counterpart of :meth:`SimulationSession.advance`: the
-        first call initializes all fields from batched steady solves, later
-        calls take ``n_substeps`` backward-Euler steps in which servers
-        holding the same cooling boundary advance through one cached
-        operator per substep.  ``force_boundary_refresh`` is one flag for
-        the whole rack or one per server (per-server actuator events).
-
-        Composed of the same stages the datacenter floor engine drives —
-        power evaluation, refresh planning, boundary refresh, steady init,
-        substep marching, :meth:`finish_advance` — with the physics batched
-        rack-locally instead of floor-wide.
-        """
-        loads = self._check_loads(loads)
-        check_positive(dt_s, "dt_s")
-        if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
-        force = self.normalize_force_flags(force_boundary_refresh)
-
-        breakdowns, power_maps, water_loops = self._evaluate_power(loads)
-
-        # Refresh stale boundaries, batching the loop/evaporator work of the
-        # refreshing servers; the rest keep their held state.
-        refreshed = self.plan_refresh(power_maps, water_loops, force)
-        self.refresh_boundaries(power_maps, water_loops, refreshed)
-        boundaries = [state.boundary_result for state in self.held_boundaries()]
-
-        if self._temperatures is None:
-            self._temperatures = self._steady_fields(power_maps, boundaries)
-
-        fields = self._temperatures
-        sub_dt = dt_s / n_substeps
-        residuals = np.zeros(self.n_servers, dtype=float)
-        peak_case = np.full(self.n_servers, float("-inf"), dtype=float)
-        groups = self._group_by_boundary(boundaries)
-        for _ in range(n_substeps):
-            new_fields = np.empty_like(fields)
-            for indices in groups:
-                new_fields[indices] = (
-                    self.thermal_simulator.transient_step_many_from_maps(
-                        fields[indices],
-                        power_maps[indices],
-                        boundaries[indices[0]].boundary,
-                        sub_dt,
-                    )
-                )
-            residuals = np.max(np.abs(new_fields - fields), axis=1)
-            fields = new_fields
-            peak_case = np.maximum(peak_case, fields[:, self._case_cell_index])
-
-        return self.finish_advance(
+        results = self._build_results(
             loads,
             breakdowns,
-            water_loops,
             fields,
-            residuals,
-            peak_case,
-            refreshed,
-            dt_s,
-            n_substeps,
+            [state.operating_point for state in held],
+            [state.boundary_result for state in held],
+            water_loops,
         )
+        self._last_residuals = [float(residual) for residual in residuals]
+        servers = tuple(
+            ServerAdvance(
+                result=result,
+                settle_residual_c=self._last_residuals[index],
+                period_peak_case_c=float(peak_case[index]),
+                boundary_refreshed=bool(refreshed[index]),
+            )
+            for index, result in enumerate(results)
+        )
+        return RackAdvance(servers=servers, dt_s=dt_s, n_substeps=n_substeps)

@@ -433,9 +433,9 @@ def build_rack_loads(
 ) -> list[ServerLoad]:
     """Resolve one rack's :class:`ServerLoad` list for a control period.
 
-    The load-building half of :func:`run_rack_period`, split out so the
-    datacenter floor engine can assemble every rack's loads first and then
-    batch the physics of the whole floor in one pass.  ``current_mappings``
+    The load-building stage of a rack period: every rack's loads are
+    assembled first, then the floor engine batches the physics of the
+    whole floor in one pass.  ``current_mappings``
     is updated **in place** when a DVFS decision moved a server's frequency
     away from its mapping's.  ``mapping_memo`` optionally memoizes
     re-pinned mappings across servers and periods (keyed by the source
@@ -480,7 +480,7 @@ def apply_rack_decisions(
 ) -> tuple[tuple[ControllerDecision, ...], float]:
     """Apply the fast per-server rule to one rack's advanced physics.
 
-    The decision half of :func:`run_rack_period`: walks a
+    The decision stage of a rack period: walks a
     :class:`~repro.core.rack_session.RackAdvance`, charges the rack's
     chiller power and lets ``policy`` pick each server's next actuator
     settings.  ``frequencies``, ``water_loops`` and ``force_refresh`` are
@@ -518,62 +518,12 @@ def apply_rack_decisions(
     return tuple(decisions), period_chiller_w
 
 
-def run_rack_period(
-    rack_session: RackSession,
-    servers: Sequence[RackServer],
-    traces: Sequence[PhasedTrace],
-    current_mappings: list[WorkloadMapping],
-    frequencies: list[float],
-    water_loops: list[WaterLoop],
-    force_refresh: list[bool],
-    time_s: float,
-    control_period_s: float,
-    transient_substeps: int,
-    policy,
-    chiller: ChillerModel,
-) -> tuple[tuple[ControllerDecision, ...], float]:
-    """One transient control period of one rack: physics + fast decisions.
-
-    The single source of the per-rack period step, shared by
-    :meth:`ThermosyphonController.run_rack_trace` and the datacenter layer
-    (:class:`repro.datacenter.model.DatacenterSession`), so the two lanes
-    cannot diverge — a fixed-setpoint datacenter run is bit-identical to
-    standalone rack traces *by construction*.  ``policy`` is anything with
-    the :meth:`DecisionPolicy.decide` signature (the controller passes
-    itself, so subclass overrides of ``decide`` keep working).
-
-    Composed of :func:`build_rack_loads` (actuator state -> loads), one
-    :meth:`RackSession.advance` (physics) and :func:`apply_rack_decisions`
-    (fast rule).  The datacenter floor engine runs the same two bookend
-    helpers but batches the middle physics stage across every rack on the
-    floor, which is why the split exists.
-
-    ``current_mappings``, ``frequencies``, ``water_loops`` and
-    ``force_refresh`` are the rack's per-server actuator state and are
-    updated **in place** with the decisions' outcomes.  Returns the
-    period's decisions and the rack chiller electrical power, both
-    evaluated at the settings the period actually ran with.
-    """
-    loads = build_rack_loads(
-        servers, traces, current_mappings, frequencies, water_loops, time_s
-    )
-    advance = rack_session.advance(
-        loads,
-        control_period_s,
-        n_substeps=transient_substeps,
-        force_boundary_refresh=force_refresh,
-    )
-    return apply_rack_decisions(
-        advance, servers, frequencies, water_loops, force_refresh, time_s, policy, chiller
-    )
-
-
 class ThermosyphonController:
     """Flow-rate-first, DVFS-second thermal emergency controller.
 
     ``boundary_refresh_tol`` and ``adaptive_boundary_refresh`` plumb the
     transient lane's cooling-boundary refresh policy through the controller:
-    when given, they are applied to the simulation session (and to any rack
+    when given, they are applied to the simulation session (and to the rack
     session built by :meth:`run_rack_trace`) before a trace runs; ``None``
     keeps the session's own setting.
     """
@@ -659,13 +609,6 @@ class ThermosyphonController:
     # ------------------------------------------------------------------ #
     # Trace execution
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _mapping_at_frequency(
-        mapping: WorkloadMapping, frequency_ghz: float
-    ) -> WorkloadMapping:
-        """Backwards-compatible alias of :func:`mapping_at_frequency`."""
-        return mapping_at_frequency(mapping, frequency_ghz)
-
     def run_trace(
         self,
         benchmark: BenchmarkCharacteristics,
@@ -707,14 +650,14 @@ class ThermosyphonController:
         cache = self.simulation.thermal_simulator.solver_cache
         misses_before = cache.stats.misses if cache is not None else None
 
-        current_mapping = self._mapping_at_frequency(mapping, frequency)
+        current_mapping = mapping_at_frequency(mapping, frequency)
         force_refresh = False
         time_s = 0.0
         while time_s < trace.duration_s:
             phase = trace.phase_at(time_s)
             if current_mapping.configuration.frequency_ghz != frequency:
                 # Only rebuild configuration/mapping when DVFS actually acted.
-                current_mapping = self._mapping_at_frequency(mapping, frequency)
+                current_mapping = mapping_at_frequency(mapping, frequency)
             settle_residual: float | None = None
             period_peak: float | None = None
             if mode == "steady":
@@ -775,7 +718,6 @@ class ThermosyphonController:
         *,
         initial_water_loop: WaterLoop | None = None,
         transient_substeps: int = 4,
-        rack_session: RackSession | None = None,
         chiller: ChillerModel | None = None,
     ) -> RackTrace:
         """Run the controller over a whole rack of servers at once.
@@ -783,22 +725,23 @@ class ThermosyphonController:
         Every server follows the decision rule of :meth:`run_trace` in
         transient mode — flow first, DVFS second, per-server valve and
         frequency state — but the thermal work of each control period goes
-        through one :class:`RackSession.advance`: servers holding the same
-        cooling boundary advance through a single cached operator per
-        substep, so a homogeneous rack trace costs roughly ``n_servers``
-        times fewer factorizations than independent per-server traces.
+        through one :meth:`~repro.datacenter.floor.FloorEngine.advance` of
+        a one-rack floor: servers holding the same cooling boundary advance
+        through a single cached operator per substep, so a homogeneous rack
+        trace costs roughly ``n_servers`` times fewer factorizations than
+        independent per-server traces.
 
         ``trace`` is the shared activity trace; servers carrying their own
         :attr:`RackServer.trace` follow it instead (the rack runs until the
         longest trace ends, shorter traces idling on their final phase).
-        ``rack_session`` may be supplied to continue from accumulated state
-        (its temperature fields and held boundaries are kept — call
-        :meth:`RackSession.reset` first for a cold start) or to use a
-        custom substrate; by default a fresh session is built on the
+        Every call starts cold on a fresh rack session built on the
         simulation's floorplan, power model and thermal simulator, so the
         factorization cache is shared with any single-server studies on the
         same simulation.
         """
+        # Imported here: the datacenter layer builds on this module.
+        from repro.datacenter.floor import FloorEngine
+
         servers = list(servers)
         if not servers:
             raise ConfigurationError("a rack trace needs at least one server")
@@ -808,21 +751,15 @@ class ThermosyphonController:
                 "every server needs a trace: pass a shared trace or give each "
                 "RackServer its own"
             )
-        owns_session = rack_session is None
-        if rack_session is None:
-            rack_session = RackSession(
-                len(servers),
-                floorplan=self.simulation.floorplan,
-                design=self.simulation.design,
-                power_model=self.simulation.power_model,
-                thermal_simulator=self.simulation.thermal_simulator,
-            )
-        elif rack_session.n_servers != len(servers):
-            raise ConfigurationError(
-                f"rack session is sized for {rack_session.n_servers} servers, "
-                f"got {len(servers)}"
-            )
+        rack_session = RackSession(
+            len(servers),
+            floorplan=self.simulation.floorplan,
+            design=self.simulation.design,
+            power_model=self.simulation.power_model,
+            thermal_simulator=self.simulation.thermal_simulator,
+        )
         self._apply_refresh_policy(rack_session)
+        engine = FloorEngine([rack_session])
         chiller = chiller if chiller is not None else ChillerModel()
 
         default_loop = (
@@ -833,33 +770,36 @@ class ThermosyphonController:
         water_loops = [default_loop] * len(servers)
         frequencies = [server.mapping.configuration.frequency_ghz for server in servers]
         current_mappings = [
-            self._mapping_at_frequency(server.mapping, frequencies[index])
+            mapping_at_frequency(server.mapping, frequencies[index])
             for index, server in enumerate(servers)
         ]
         force_refresh = [False] * len(servers)
 
         record = RackTrace(control_period_s=self.control_period_s)
-        if owns_session:
-            rack_session.reset()
         cache = rack_session.thermal_simulator.solver_cache
         stats_before = cache.stats if cache is not None else None
 
         duration_s = max(t.duration_s for t in traces)
         time_s = 0.0
         while time_s < duration_s:
+            loads = build_rack_loads(
+                servers, traces, current_mappings, frequencies, water_loops, time_s
+            )
+            advance = engine.advance(
+                [loads],
+                self.control_period_s,
+                n_substeps=transient_substeps,
+                force_boundary_refresh=[force_refresh],
+            )
             # The controller itself is the policy argument, so a subclass
             # overriding decide() steers rack traces exactly like run_trace.
-            decisions, period_chiller_w = run_rack_period(
-                rack_session,
+            decisions, period_chiller_w = apply_rack_decisions(
+                advance.racks[0],
                 servers,
-                traces,
-                current_mappings,
                 frequencies,
                 water_loops,
                 force_refresh,
                 time_s,
-                self.control_period_s,
-                transient_substeps,
                 self,
                 chiller,
             )

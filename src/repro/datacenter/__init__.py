@@ -25,12 +25,12 @@ floor are grouped by hardware (one
 :class:`~repro.thermal.simulator.ThermalSimulator` per distinct
 floorplan) and by cooling-boundary content, and each group advances
 through **one** stacked multi-RHS back-substitution per substep and one
-evaporator lane march per water-condition group — rack sessions become
-row-block views over the floor's group arrays.  A homogeneous N-rack
-floor therefore costs roughly one rack's factorizations and solves, and
-a heterogeneous floor simply stacks fewer rows per group; both stay
-bit-identical to standalone per-rack traces because batching never
-changes the arithmetic.  The scenario engine
+evaporator lane march per water-condition group.  The engine owns every
+temperature field on the floor; rack sessions keep only their held
+cooling boundaries.  A homogeneous N-rack floor therefore costs roughly
+one rack's factorizations and solves, and a heterogeneous floor simply
+stacks fewer rows per group; both stay bit-identical to advancing the
+racks one at a time because batching never changes the arithmetic.  The scenario engine
 (:mod:`repro.datacenter.scenarios`) generates seeded, replayable
 floor-wide load shapes (diurnal, flash crowd, rolling batch, mixed) from
 the existing PARSEC phase traces, optionally cycling several thermosyphon

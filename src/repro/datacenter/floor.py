@@ -1,14 +1,15 @@
 """Floor engine: every server on the floor stacked through shared operators.
 
-PR 5's datacenter layer advanced racks one :class:`RackSession` at a time,
-so a homogeneous 20-rack floor paid 20 multi-RHS back-substitutions per
-substep where the physics permits one.  :class:`FloorEngine` inverts the
-ownership of floor state: the *floor* holds one stacked
+:class:`FloorEngine` owns the transient state of a floor: one stacked
 ``(n_servers_in_group, n_cells)`` temperature array per **hardware group**
 (racks sharing one thermal network, i.e. one
-:class:`~repro.thermal.simulator.ThermalSimulator`), and every rack
-session's state becomes a row-block view into its group's array.  Each
-control period runs four floor-wide batched stages:
+:class:`~repro.thermal.simulator.ThermalSimulator`).  Rack sessions hold
+only their cooling boundaries and residual history; a homogeneous 20-rack
+floor pays one multi-RHS back-substitution per substep where a
+rack-at-a-time loop would pay 20.  A single rack is a one-rack floor —
+:meth:`~repro.core.runtime_controller.ThermosyphonController.\
+run_rack_trace` drives this engine too.  Each control period runs four
+floor-wide batched stages:
 
 1. **Power** — per-server power models, memoized per hardware group:
    servers carrying the same (benchmark, mapping, activity) triple share
@@ -19,23 +20,25 @@ control period runs four floor-wide batched stages:
    converges the loop operating point *once* and marches its evaporator
    lanes through **one** stacked
    :meth:`~repro.thermosyphon.loop.ThermosyphonLoop.cooling_boundaries`
-   call per water-condition group — across racks, not per rack.
+   call per grid (pitch and shape) — across racks, not per rack.
 3. **Solve** — steady initialization and every backward-Euler substep run
    one :meth:`~repro.thermal.simulator.ThermalSimulator.\
 transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
    (hardware group, cooling-boundary content) — one factorization and one
    multi-RHS back-substitution for *all* servers sharing an operator,
    whatever rack they sit in.
-4. **Finish** — each rack session adopts its row-block view of the group
-   array through :meth:`RackSession.finish_advance`, so the rack-level API
-   (results, residual tracking, boundary hold policy) is unchanged.
+4. **Finish** — each rack session builds its per-server results from its
+   row block of the group array through :meth:`RackSession.finish_advance`,
+   so the rack-level API (results, residual tracking, boundary hold
+   policy) is unchanged.
 
 Because SuperLU back-substitutes multi-column right-hand sides column by
 column and the lane march is elementwise across servers, stacking across
 racks changes *nothing numerically*: a fixed-setpoint floor run is
-bit-identical to standalone per-rack traces, which remain the golden
-model.  Heterogeneous floors (mixed SKUs/designs) need no fallback — each
-hardware group simply stacks fewer rows.
+bit-identical to the rack-at-a-time golden model kept in
+``tests/reference_rack_lane.py``.  Heterogeneous floors (mixed
+SKUs/designs) need no fallback — each hardware group simply stacks fewer
+rows.
 """
 
 from __future__ import annotations
@@ -66,10 +69,8 @@ class FloorSnapshot:
     """Frozen copy of the floor's warm state for speculative rollouts.
 
     Captures the stacked group temperature arrays plus every rack session's
-    :class:`RackSessionSnapshot` (held boundaries, residual history) and
-    whether each session's field was a row-block view of its group array —
-    :meth:`FloorEngine.restore` re-establishes exactly that view
-    relationship, so a restored floor is *warm*: the next advance carries
+    :class:`RackSessionSnapshot` (held boundaries, residual history).  A
+    floor restored from a warm snapshot is warm: the next advance carries
     fields instead of re-solving steady state, and every cached
     factorization and memoized operating point survives (they live on the
     shared simulators/engine, not in the snapshot).
@@ -77,18 +78,18 @@ class FloorSnapshot:
 
     group_fields: tuple[np.ndarray | None, ...]
     rack_snapshots: tuple[RackSessionSnapshot, ...]
-    rack_viewed_group: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class FloorAdvance:
     """Outcome of one floor-wide control period of physics.
 
-    ``racks[r]`` is rack ``r``'s :class:`RackAdvance`, exactly as the
-    per-rack engine would have produced it.  ``worst_period_peak_case_c``
-    is the highest within-period case temperature across *every* server on
-    the floor, computed vectorized from the stacked group arrays — the
-    floor-level predicted-peak input of the supervisory setpoint loop.
+    ``racks[r]`` is rack ``r``'s :class:`RackAdvance`, exactly as a
+    rack-at-a-time advance would have produced it.
+    ``worst_period_peak_case_c`` is the highest within-period case
+    temperature across *every* server on the floor, computed vectorized
+    from the stacked group arrays — the floor-level predicted-peak input of
+    the supervisory setpoint loop.
     """
 
     racks: tuple[RackAdvance, ...]
@@ -194,10 +195,6 @@ class FloorEngine:
             _HardwareGroup(index, rack_indices, self.rack_sessions)
             for index, rack_indices in enumerate(by_simulator.values())
         ]
-        self._group_of_rack: dict[int, _HardwareGroup] = {}
-        for group in self._groups:
-            for r in group.rack_indices:
-                self._group_of_rack[r] = group
         # Floor-lifetime operating-point memo: the loop convergence is a
         # deterministic pure function of (design, water condition, total
         # power), so a key converged during an MPC rollout is free when the
@@ -337,12 +334,6 @@ class FloorEngine:
             rack_snapshots=tuple(
                 session.snapshot() for session in self.rack_sessions
             ),
-            rack_viewed_group=tuple(
-                session.fields is not None
-                and self._group_of_rack[r].fields is not None
-                and session.fields.base is self._group_of_rack[r].fields
-                for r, session in enumerate(self.rack_sessions)
-            ),
         )
 
     def restore(self, snapshot: FloorSnapshot) -> None:
@@ -350,9 +341,8 @@ class FloorEngine:
 
         Group arrays are reinstalled from copies (the snapshot stays valid
         for further restores — one snapshot serves every candidate of an
-        MPC planning step) and each rack session is rebound to its
-        row-block view when it held one at snapshot time, so the next
-        advance passes the warm check and carries fields bit-identically.
+        MPC planning step), so the next advance carries fields
+        bit-identically.
         """
         if len(snapshot.rack_snapshots) != self.n_racks:
             raise ValidationError(
@@ -366,15 +356,8 @@ class FloorEngine:
             )
         for group, saved in zip(self._groups, snapshot.group_fields):
             group.fields = None if saved is None else saved.copy()
-        for r, session in enumerate(self.rack_sessions):
-            group = self._group_of_rack[r]
-            if snapshot.rack_viewed_group[r]:
-                session.restore(
-                    snapshot.rack_snapshots[r],
-                    fields=group.fields[group.rack_rows[r]],
-                )
-            else:
-                session.restore(snapshot.rack_snapshots[r])
+        for session, saved in zip(self.rack_sessions, snapshot.rack_snapshots):
+            session.restore(saved)
 
     # ------------------------------------------------------------------ #
     # The floor-wide period step
@@ -389,11 +372,12 @@ class FloorEngine:
     ) -> FloorAdvance:
         """Advance every server on the floor by ``dt_s``.
 
-        ``rack_loads[r]`` is rack ``r``'s per-server loads (as for
-        :meth:`RackSession.advance`); ``force_boundary_refresh[r]`` is that
-        rack's flag or per-server flags.  Results are bit-identical to
-        calling each rack session's own ``advance`` in rack order — the
-        stacking only changes how many rows each factorized operator
+        ``rack_loads[r]`` is rack ``r``'s per-server loads;
+        ``force_boundary_refresh[r]`` is that rack's flag or per-server
+        flags.  The first advance after a cold start initializes every
+        field from batched steady solves; later advances carry the fields.
+        Results are bit-identical to advancing the racks one at a time —
+        the stacking only changes how many rows each factorized operator
         back-substitutes at once.
         """
         if n_substeps < 1:
@@ -531,8 +515,8 @@ class FloorEngine:
           reconstructed by endpoint interpolation — the pure-coarsening
           mode.
 
-        Requires a warm floor (every session viewing its group array);
-        cold starts must go through :meth:`advance` first.
+        Requires a warm floor; cold starts must go through :meth:`advance`
+        first.
         """
         if span < 1:
             raise ValueError(f"span must be >= 1, got {span}")
@@ -548,7 +532,7 @@ class FloorEngine:
             # cold floor raises deterministically (and no worker has started
             # mutating group state when it does).
             for group in self._groups:
-                if not self._group_is_warm(group):
+                if group.fields is None:
                     raise ConfigurationError(
                         "advance_span requires a warm floor; advance at least "
                         "one fine control period first"
@@ -614,15 +598,6 @@ class FloorEngine:
                 period_worst_peak_c=period_worst,
             )
 
-    def _group_is_warm(self, group: _HardwareGroup) -> bool:
-        """True when every session of the group views the group array."""
-        fields = group.fields
-        return fields is not None and all(
-            self.rack_sessions[r].fields is not None
-            and self.rack_sessions[r].fields.base is fields
-            for r in group.rack_indices
-        )
-
     # ------------------------------------------------------------------ #
     # Stage 2: floor-wide boundary refresh
     # ------------------------------------------------------------------ #
@@ -665,8 +640,9 @@ class FloorEngine:
     ) -> None:
 
         # One loop convergence per group, then one lane march per group of
-        # members sharing the grid pitch (the pitch is fixed per hardware
-        # group; designs shared across SKUs march separately per pitch).
+        # members sharing the grid (pitch and power-map shape are fixed per
+        # hardware group; designs shared across SKUs march separately per
+        # grid, since SKUs on one pitch may still differ in shape).
         for key, members in point_members.items():
             _, water_loop, total = key
             point: LoopOperatingPoint | None = self._point_memo.get(key)
@@ -676,21 +652,22 @@ class FloorEngine:
                 while len(self._point_memo) >= self._point_memo_max_entries:
                     self._point_memo.pop(next(iter(self._point_memo)))
                 self._point_memo[key] = point
-            by_pitch: dict[tuple, list[tuple[int, int, float]]] = {}
+            by_grid: dict[tuple, list[tuple[int, int, float]]] = {}
             for r, s, member_total in members:
                 pitch = self.rack_sessions[r].thermal_simulator.grid.cell_pitch_mm()
-                by_pitch.setdefault(tuple(pitch), []).append((r, s, member_total))
-            for pitch_members in by_pitch.values():
-                r0 = pitch_members[0][0]
+                grid_key = (tuple(pitch), power_maps[r][s].shape)
+                by_grid.setdefault(grid_key, []).append((r, s, member_total))
+            for grid_members in by_grid.values():
+                r0 = grid_members[0][0]
                 session0 = self.rack_sessions[r0]
                 pitch = session0.thermal_simulator.grid.cell_pitch_mm()
                 stacked = np.stack(
-                    [power_maps[r][s] for r, s, _ in pitch_members]
+                    [power_maps[r][s] for r, s, _ in grid_members]
                 )
                 results: list[BoundaryResult] = session0.loop.cooling_boundaries(
                     stacked, pitch, point
                 )
-                for (r, s, member_total), result in zip(pitch_members, results):
+                for (r, s, member_total), result in zip(grid_members, results):
                     self.rack_sessions[r].store_boundary(
                         s, point, result, water_loops[r][s], member_total
                     )
@@ -698,6 +675,26 @@ class FloorEngine:
     # ------------------------------------------------------------------ #
     # Stages 3-4: stacked init and substep marching of one hardware group
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _stack_group(
+        group: _HardwareGroup,
+        power_maps: Sequence[np.ndarray],
+        boundaries: Sequence[Sequence[BoundaryResult]],
+    ) -> tuple[np.ndarray, list[BoundaryResult], list[list[int]]]:
+        """The group's power maps and boundaries stacked in rack-row order.
+
+        Also returns the solve partition: the rows sharing a cooling-boundary
+        content, which advance through one cached factorization per substep.
+        """
+        group_maps = np.concatenate([power_maps[r] for r in group.rack_indices])
+        group_boundaries = [
+            boundary for r in group.rack_indices for boundary in boundaries[r]
+        ]
+        token_rows: dict[tuple, list[int]] = {}
+        for row, boundary in enumerate(group_boundaries):
+            token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
+        return group_maps, group_boundaries, list(token_rows.values())
+
     def _advance_group(
         self,
         group: _HardwareGroup,
@@ -713,48 +710,19 @@ class FloorEngine:
     ) -> float:
         simulator = group.simulator
         n_cells = simulator.grid.n_cells
-
-        # Stack this group's power maps and boundaries in rack-row order.
-        group_maps = np.concatenate([power_maps[r] for r in group.rack_indices])
-        group_boundaries: list[BoundaryResult] = []
-        for r in group.rack_indices:
-            group_boundaries.extend(boundaries[r])
-
-        # Solve partition: rows sharing a cooling-boundary content advance
-        # through one cached factorization per substep.
-        token_rows: dict[tuple, list[int]] = {}
-        for row, boundary in enumerate(group_boundaries):
-            token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
-        row_groups = list(token_rows.values())
-
-        # Steady initialization of any cold rack, batched per operator
-        # across the whole group; warm racks keep their carried fields.  A
-        # session advanced standalone (or reset) between floor periods no
-        # longer views the group array, so its rows are re-seeded from its
-        # own state.
-        fields = group.fields
-        warm = fields is not None and all(
-            self.rack_sessions[r].fields is not None
-            and self.rack_sessions[r].fields.base is fields
-            for r in group.rack_indices
+        group_maps, group_boundaries, row_groups = self._stack_group(
+            group, power_maps, boundaries
         )
-        if not warm:
+
+        # A cold group starts from steady state, batched per operator
+        # across the whole group; a warm group carries its fields.
+        fields = group.fields
+        if fields is None:
             fields = np.empty((group.n_servers, n_cells), dtype=float)
-            cold_rows: list[int] = []
-            for r in group.rack_indices:
-                rows = group.rack_rows[r]
-                carried = self.rack_sessions[r].fields
-                if carried is None:
-                    cold_rows.extend(range(rows.start, rows.stop))
-                else:
-                    fields[rows] = carried
-            cold = set(cold_rows)
             for rows in row_groups:
-                init_rows = [row for row in rows if row in cold]
-                if init_rows:
-                    fields[init_rows] = simulator.steady_state_many_from_maps(
-                        group_maps[init_rows], group_boundaries[init_rows[0]].boundary
-                    )
+                fields[rows] = simulator.steady_state_many_from_maps(
+                    group_maps[rows], group_boundaries[rows[0]].boundary
+                )
 
         sub_dt = dt_s / n_substeps
         residuals = np.zeros(group.n_servers, dtype=float)
@@ -773,8 +741,8 @@ class FloorEngine:
             peak_case = np.maximum(peak_case, fields[:, group.case_cell_index])
         group.fields = fields
 
-        # Stage 5: every rack session adopts its row-block view and builds
-        # its per-server results — the rack is now a view over floor state.
+        # Stage 4: every rack session builds its per-server results from
+        # its row block of the group array.
         for r in group.rack_indices:
             rows = group.rack_rows[r]
             rack_advances[r] = self.rack_sessions[r].finish_advance(
@@ -812,15 +780,9 @@ class FloorEngine:
         stats: RomStats,
     ) -> None:
         simulator = group.simulator
-
-        group_maps = np.concatenate([power_maps[r] for r in group.rack_indices])
-        group_boundaries: list[BoundaryResult] = []
-        for r in group.rack_indices:
-            group_boundaries.extend(boundaries[r])
-
-        token_rows: dict[tuple, list[int]] = {}
-        for row, boundary in enumerate(group_boundaries):
-            token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
+        group_maps, group_boundaries, row_groups = self._stack_group(
+            group, power_maps, boundaries
+        )
 
         # Warmth was verified for every group by :meth:`advance_span`
         # before dispatch.
@@ -834,7 +796,7 @@ class FloorEngine:
         residuals = np.empty(n, dtype=float)
 
         obs = get_telemetry()
-        for rows in token_rows.values():
+        for rows in row_groups:
             boundary = group_boundaries[rows[0]].boundary
             maps_rows = group_maps[rows]
             state = fields[rows]

@@ -14,10 +14,9 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
   :class:`~repro.thermal.simulator.ThermalSimulator` (and factorization
   cache) per distinct floorplan, one multi-RHS back-substitution per
   (hardware group, cooling boundary) per substep, one lane march per
-  water-condition group across racks.  Each rack's
-  :class:`~repro.core.rack_session.RackSession` becomes a row-block view
-  over its group array; ``engine="per-rack"`` keeps the rack-at-a-time
-  loop as a reference baseline;
+  water-condition group across racks.  The engine owns every temperature
+  field; each rack's :class:`~repro.core.rack_session.RackSession` holds
+  only its cooling boundaries and builds its results from its row block;
 * each server then runs the paper's fast flow-first/DVFS-second rule
   (:class:`~repro.core.runtime_controller.DecisionPolicy` — the exact rule
   :meth:`ThermosyphonController.run_rack_trace` applies, so a fixed-setpoint
@@ -36,10 +35,11 @@ the merged solver-cache statistics of the whole floor.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.rack_session import RackSession, RackSessionSnapshot
+from repro.core.rack_session import RackAdvance, RackSession, ServerLoad
 from repro.core.runtime_controller import (
     ControllerAction,
     ControllerDecision,
@@ -49,7 +49,6 @@ from repro.core.runtime_controller import (
     apply_rack_decisions,
     build_rack_loads,
     mapping_at_frequency,
-    run_rack_period,
 )
 from repro.core.session import T_CASE_MAX_C
 from repro.datacenter.floor import FloorEngine, FloorSnapshot
@@ -72,7 +71,7 @@ from repro.thermosyphon.chiller import ChillerBank, ChillerPlant, StagingDecisio
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.trace import PhasedTrace
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,11 @@ class CoarseningConfig:
     trigger drops the run back to single-period stepping.
 
     Spans are quantized to powers of two between ``min_span`` and
-    ``max_span`` so the macro-step ``dt`` values stay within the
-    factorization cache's LRU bound.  ``rom`` configures the reduced-order
-    lane the span steps through (:class:`~repro.thermal.rom.RomConfig`);
-    ``None`` keeps pure macro-stepping through the full solver.
+    ``max_span`` (both must be powers of two themselves) so the macro-step
+    ``dt`` values stay within the factorization cache's LRU bound.
+    ``rom`` configures the reduced-order lane the span steps through
+    (:class:`~repro.thermal.rom.RomConfig`); ``None`` keeps pure
+    macro-stepping through the full solver.
     """
 
     min_span: int = 4
@@ -159,6 +159,14 @@ class CoarseningConfig:
                 f"max_span ({self.max_span}) must be >= min_span "
                 f"({self.min_span})"
             )
+        for name in ("min_span", "max_span"):
+            value = getattr(self, name)
+            if value & (value - 1):
+                # The span planner only emits powers of two; a non-dyadic
+                # bound would silently act as the next power below it.
+                raise ConfigurationError(
+                    f"{name} must be a power of two, got {value}"
+                )
         check_positive(self.quasi_steady_tol_c, "quasi_steady_tol_c")
         check_positive(self.guard_band_c, "guard_band_c")
         check_positive(self.relax_guard_c, "relax_guard_c")
@@ -385,10 +393,9 @@ class DatacenterSnapshot:
     Everything :meth:`DatacenterSession.advance_period` evolves: the
     setpoint, the per-server actuator state (water loops, frequencies,
     resolved mappings, pending refresh flags) and the floor physics state
-    (one :class:`~repro.datacenter.floor.FloorSnapshot`, or per-rack
-    :class:`~repro.core.rack_session.RackSessionSnapshot` tuples on the
-    per-rack engine).  The MPC planner takes one snapshot per supervisory
-    decision and restores it after every candidate rollout.
+    (one :class:`~repro.datacenter.floor.FloorSnapshot`).  The MPC planner
+    takes one snapshot per supervisory decision and restores it after
+    every candidate rollout.
     """
 
     setpoint_c: float
@@ -396,8 +403,7 @@ class DatacenterSnapshot:
     frequencies: tuple[tuple[float, ...], ...]
     mappings: tuple[tuple[WorkloadMapping, ...], ...]
     force_refresh: tuple[tuple[bool, ...], ...]
-    floor: FloorSnapshot | None
-    rack_snapshots: tuple[RackSessionSnapshot, ...] | None
+    floor: FloorSnapshot
     # Coarsening-eligibility signals of the last committed period, restored
     # so MPC rollouts (which mutate the setpoint mid-plan) leave the
     # committed trace's span pattern untouched.
@@ -424,13 +430,6 @@ class DatacenterModel:
         thermal simulator (and therefore one factorization cache).  Racks
         carrying their own floorplan get one simulator per distinct
         floorplan, built at the default simulator's cell size.
-    engine:
-        ``"floor"`` (default) advances the whole floor through the stacked
-        :class:`~repro.datacenter.floor.FloorEngine`; ``"per-rack"`` keeps
-        the rack-at-a-time loop of the earlier datacenter layer as a
-        reference baseline.  Both are bit-identical — the floor engine
-        only changes how many rows each factorized operator
-        back-substitutes at once.
     control_period_s, transient_substeps:
         The fast loop's period and backward-Euler substeps, as in
         :meth:`ThermosyphonController.run_rack_trace`.
@@ -444,8 +443,8 @@ class DatacenterModel:
         every rack session (``None`` keeps the session defaults).
     coarsening:
         A :class:`CoarseningConfig` enables adaptive control-period
-        coarsening (floor engine only): quasi-steady stretches advance in
-        dyadic multi-period macro-steps — through the reduced-order
+        coarsening: quasi-steady stretches advance in dyadic multi-period
+        macro-steps — through the reduced-order
         Krylov lane when the config carries a
         :class:`~repro.thermal.rom.RomConfig` — and any actuator event,
         residual growth, envelope step or constraint proximity drops back
@@ -479,7 +478,6 @@ class DatacenterModel:
         power_model: ServerPowerModel | None = None,
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
-        engine: str = "floor",
         control_period_s: float = 2.0,
         transient_substeps: int = 4,
         policy: DecisionPolicy | None = None,
@@ -507,11 +505,6 @@ class DatacenterModel:
             if thermal_simulator is not None
             else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
         )
-        if engine not in ("floor", "per-rack"):
-            raise ConfigurationError(
-                f"engine must be 'floor' or 'per-rack', got {engine!r}"
-            )
-        self.engine = engine
         # Resolve each rack's hardware once: racks naming the same floorplan
         # object share one simulator (and one power model, unless the spec
         # carries its own) — the floor engine groups stacked state by these
@@ -556,17 +549,14 @@ class DatacenterModel:
             )
         self.transient_substeps = int(transient_substeps)
         self.policy = policy if policy is not None else DecisionPolicy()
-        self.supply_setpoint_c = (
+        self.supply_setpoint_c = check_finite(
             supply_setpoint_c
             if supply_setpoint_c is not None
-            else design.water_inlet_temperature_c
+            else design.water_inlet_temperature_c,
+            "supply_setpoint_c",
         )
         self.boundary_refresh_tol = boundary_refresh_tol
         self.adaptive_boundary_refresh = adaptive_boundary_refresh
-        if coarsening is not None and engine != "floor":
-            raise ConfigurationError(
-                "control-period coarsening requires the floor engine"
-            )
         self.coarsening = coarsening
         if parallel_groups < 0:
             raise ConfigurationError(
@@ -630,8 +620,8 @@ class DatacenterSession:
     """Executes a :class:`DatacenterModel` period by period.
 
     Owns the mutable floor state: one :class:`RackSession` per rack (each
-    on its rack's resolved hardware), the :class:`FloorEngine` stacking
-    those sessions into per-hardware-group state arrays, the per-server
+    on its rack's resolved hardware), the :class:`FloorEngine` owning the
+    per-hardware-group temperature arrays of those racks, the per-server
     actuator settings (water valve and DVFS level) and the current chiller
     supply setpoint.  The per-period logic mirrors
     :meth:`ThermosyphonController.run_rack_trace` operation for operation,
@@ -645,7 +635,9 @@ class DatacenterSession:
     def __init__(self, model: DatacenterModel, *, setpoint_c: float | None = None) -> None:
         self.model = model
         self.setpoint_c = (
-            setpoint_c if setpoint_c is not None else model.supply_setpoint_c
+            check_finite(setpoint_c, "setpoint_c")
+            if setpoint_c is not None
+            else model.supply_setpoint_c
         )
         self.rack_sessions = [
             RackSession(
@@ -662,12 +654,10 @@ class DatacenterSession:
                 session.boundary_refresh_tol = model.boundary_refresh_tol
             if model.adaptive_boundary_refresh is not None:
                 session.adaptive_boundary_refresh = model.adaptive_boundary_refresh
-        self.floor_engine = (
-            FloorEngine(self.rack_sessions, parallel_groups=model.parallel_groups)
-            if model.engine == "floor"
-            else None
+        self.floor_engine = FloorEngine(
+            self.rack_sessions, parallel_groups=model.parallel_groups
         )
-        if self.floor_engine is not None and model.coarsening is not None:
+        if model.coarsening is not None:
             self.floor_engine.rom_config = model.coarsening.rom
         # Eligibility signals of the last committed period, feeding the
         # coarsening planner: (all decisions NONE, worst settle residual,
@@ -726,18 +716,13 @@ class DatacenterSession:
         return resolved
 
     def reset(self) -> None:
-        """Cold-start the floor (group arrays, fields, held boundaries)."""
-        if self.floor_engine is not None:
-            self.floor_engine.reset()
-        else:
-            for session in self.rack_sessions:
-                session.reset()
+        """Cold-start the floor (group arrays, held boundaries)."""
+        self.floor_engine.reset()
         self._coarse_state = None
 
     def close(self) -> None:
         """Release the floor engine's worker pool (serial floors: no-op)."""
-        if self.floor_engine is not None:
-            self.floor_engine.close()
+        self.floor_engine.close()
 
     def snapshot(self) -> DatacenterSnapshot:
         """Copy the session's mutable state for a later :meth:`restore`.
@@ -753,12 +738,7 @@ class DatacenterSession:
             frequencies=tuple(tuple(f) for f in self._frequencies),
             mappings=tuple(tuple(m) for m in self._mappings),
             force_refresh=tuple(tuple(f) for f in self._force_refresh),
-            floor=self.floor_engine.snapshot() if self.floor_engine is not None else None,
-            rack_snapshots=(
-                None
-                if self.floor_engine is not None
-                else tuple(session.snapshot() for session in self.rack_sessions)
-            ),
+            floor=self.floor_engine.snapshot(),
             coarse_state=self._coarse_state,
         )
 
@@ -774,13 +754,7 @@ class DatacenterSession:
         self._mappings = [list(m) for m in snapshot.mappings]
         self._force_refresh = [list(f) for f in snapshot.force_refresh]
         self._coarse_state = snapshot.coarse_state
-        if snapshot.floor is not None:
-            self.floor_engine.restore(snapshot.floor)
-        else:
-            for session, rack_snapshot in zip(
-                self.rack_sessions, snapshot.rack_snapshots
-            ):
-                session.restore(rack_snapshot)
+        self.floor_engine.restore(snapshot.floor)
 
     def _distinct_caches(self) -> list:
         """The floor's factorization caches, each exactly once.
@@ -811,6 +785,7 @@ class DatacenterSession:
         sessions rebuild their cooling boundaries at the next advance
         because the water condition changed.
         """
+        check_finite(setpoint_c, "setpoint_c")
         if setpoint_c == self.setpoint_c:
             return
         self.setpoint_c = setpoint_c
@@ -834,8 +809,7 @@ class DatacenterSession:
         fixed-setpoint parity with standalone rack traces holds by
         construction, not by mirrored code.  Between them, the floor engine
         advances every server through one stacked solve per (hardware
-        group, cooling boundary) per substep; ``engine="per-rack"`` models
-        step their racks one :func:`run_rack_period` at a time instead.
+        group, cooling boundary) per substep.
 
         ``n_substeps`` overrides the model's backward-Euler substep count
         for this period only — MPC rollouts trade integration resolution
@@ -843,91 +817,91 @@ class DatacenterSession:
         """
         model = self.model
         substeps = n_substeps if n_substeps is not None else model.transient_substeps
-        bank = model.plant if isinstance(model.plant, ChillerBank) else None
-        # A staged bank accounts per-server loads *thermally* (Eq. 1 at
-        # unit COP — the exact condenser heat rate) and converts the floor
-        # total to electrical power through its unit commitment below; a
-        # single plant keeps the setpoint-dependent per-rack chiller.
-        chiller = (
-            bank.accounting_chiller()
-            if bank is not None
-            else model.plant.chiller_at(self.setpoint_c)
+        floor_advance = self.floor_engine.advance(
+            self._rack_loads(time_s),
+            model.control_period_s,
+            n_substeps=substeps,
+            force_boundary_refresh=self._force_refresh,
         )
-        rack_decisions: list[tuple[ControllerDecision, ...]] = []
-        rack_chiller_w: list[float] = []
-        worst_peak = float("-inf")
-        if self.floor_engine is not None:
-            rack_loads = [
-                build_rack_loads(
-                    rack.servers,
-                    self._traces[r],
-                    self._mappings[r],
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    time_s,
-                    mapping_memo=self._mapping_memo,
-                )
-                for r, rack in enumerate(model.racks)
-            ]
-            floor_advance = self.floor_engine.advance(
-                rack_loads,
-                model.control_period_s,
-                n_substeps=substeps,
-                force_boundary_refresh=self._force_refresh,
-            )
-            worst_peak = floor_advance.worst_period_peak_case_c
-            for r, rack in enumerate(model.racks):
-                decisions, period_chiller_w = apply_rack_decisions(
-                    floor_advance.racks[r],
-                    rack.servers,
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    self._force_refresh[r],
-                    time_s,
-                    model.policy,
-                    chiller,
-                )
-                rack_decisions.append(decisions)
-                rack_chiller_w.append(period_chiller_w)
-        else:
-            for r, rack in enumerate(model.racks):
-                decisions, period_chiller_w = run_rack_period(
-                    self.rack_sessions[r],
-                    rack.servers,
-                    self._traces[r],
-                    self._mappings[r],
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    self._force_refresh[r],
-                    time_s,
-                    model.control_period_s,
-                    substeps,
-                    model.policy,
-                    chiller,
-                )
-                worst_peak = max(
-                    worst_peak, max(d.period_peak_case_c for d in decisions)
-                )
-                rack_decisions.append(decisions)
-                rack_chiller_w.append(period_chiller_w)
-        staging = None
-        if bank is not None:
-            thermal_load_w = sum(rack_chiller_w)
-            staging = bank.stage(self.setpoint_c, thermal_load_w, time_s)
-            if thermal_load_w > 0.0:
-                # Prorate the bank's electrical power back onto the racks by
-                # their thermal share, so plant_power_w stays the sum of the
-                # per-rack chiller powers for both plant kinds.
-                scale = staging.electrical_power_w / thermal_load_w
-                rack_chiller_w = [power * scale for power in rack_chiller_w]
+        rack_decisions, rack_chiller_w = self._decide(floor_advance.racks, time_s)
+        staging, rack_chiller_w = self._stage(rack_chiller_w, time_s)
         return DatacenterPeriod(
             time_s=time_s,
             setpoint_c=self.setpoint_c,
             rack_decisions=tuple(rack_decisions),
             rack_chiller_power_w=tuple(rack_chiller_w),
-            worst_period_peak_case_c=worst_peak,
+            worst_period_peak_case_c=floor_advance.worst_period_peak_case_c,
             staging=staging,
         )
+
+    def _rack_loads(self, time_s: float) -> list[list[ServerLoad]]:
+        """Every rack's per-server loads at the current actuator settings."""
+        return [
+            build_rack_loads(
+                rack.servers,
+                self._traces[r],
+                self._mappings[r],
+                self._frequencies[r],
+                self._water_loops[r],
+                time_s,
+                mapping_memo=self._mapping_memo,
+            )
+            for r, rack in enumerate(self.model.racks)
+        ]
+
+    def _decide(
+        self, rack_advances: Sequence[RackAdvance], time_s: float
+    ) -> tuple[list[tuple[ControllerDecision, ...]], list[float]]:
+        """Every rack's fast decisions and chiller power for one period.
+
+        A staged bank accounts per-server loads *thermally* (Eq. 1 at unit
+        COP — the exact condenser heat rate) and converts the floor total
+        to electrical power through its unit commitment in :meth:`_stage`;
+        a single plant keeps the setpoint-dependent per-rack chiller.
+        """
+        model = self.model
+        plant = model.plant
+        chiller = (
+            plant.accounting_chiller()
+            if isinstance(plant, ChillerBank)
+            else plant.chiller_at(self.setpoint_c)
+        )
+        rack_decisions: list[tuple[ControllerDecision, ...]] = []
+        rack_chiller_w: list[float] = []
+        for r, rack in enumerate(model.racks):
+            decisions, period_chiller_w = apply_rack_decisions(
+                rack_advances[r],
+                rack.servers,
+                self._frequencies[r],
+                self._water_loops[r],
+                self._force_refresh[r],
+                time_s,
+                model.policy,
+                chiller,
+            )
+            rack_decisions.append(decisions)
+            rack_chiller_w.append(period_chiller_w)
+        return rack_decisions, rack_chiller_w
+
+    def _stage(
+        self, rack_chiller_w: list[float], time_s: float
+    ) -> tuple[StagingDecision | None, list[float]]:
+        """Commit a staged bank to the period's load (no-op on one plant).
+
+        Returns the unit commitment and the per-rack powers with the bank's
+        electrical power prorated back onto the racks by their thermal
+        share, so ``plant_power_w`` stays the sum of the per-rack chiller
+        powers for both plant kinds.
+        """
+        bank = self.model.plant
+        if not isinstance(bank, ChillerBank):
+            return None, rack_chiller_w
+        thermal_load_w = sum(rack_chiller_w)
+        staging = bank.stage(self.setpoint_c, thermal_load_w, time_s)
+        if thermal_load_w > 0.0:
+            scale = staging.electrical_power_w / thermal_load_w
+            rack_chiller_w = [power * scale for power in rack_chiller_w]
+        return staging, rack_chiller_w
 
     # ------------------------------------------------------------------ #
     # Adaptive control-period coarsening
@@ -954,26 +928,8 @@ class DatacenterSession:
         """
         model = self.model
         substeps = n_substeps if n_substeps is not None else model.transient_substeps
-        bank = model.plant if isinstance(model.plant, ChillerBank) else None
-        chiller = (
-            bank.accounting_chiller()
-            if bank is not None
-            else model.plant.chiller_at(self.setpoint_c)
-        )
-        rack_loads = [
-            build_rack_loads(
-                rack.servers,
-                self._traces[r],
-                self._mappings[r],
-                self._frequencies[r],
-                self._water_loops[r],
-                time_s,
-                mapping_memo=self._mapping_memo,
-            )
-            for r, rack in enumerate(model.racks)
-        ]
         span_advance = self.floor_engine.advance_span(
-            rack_loads,
+            self._rack_loads(time_s),
             model.control_period_s,
             span,
             n_substeps=substeps,
@@ -987,23 +943,7 @@ class DatacenterSession:
         for _ in range(span):
             times.append(stamp)
             stamp += model.control_period_s
-        final_time = times[-1]
-
-        final_decisions: list[tuple[ControllerDecision, ...]] = []
-        rack_chiller_w: list[float] = []
-        for r, rack in enumerate(model.racks):
-            decisions, period_chiller_w = apply_rack_decisions(
-                span_advance.racks[r],
-                rack.servers,
-                self._frequencies[r],
-                self._water_loops[r],
-                self._force_refresh[r],
-                final_time,
-                model.policy,
-                chiller,
-            )
-            final_decisions.append(decisions)
-            rack_chiller_w.append(period_chiller_w)
+        final_decisions, rack_chiller_w = self._decide(span_advance.racks, times[-1])
 
         periods: list[DatacenterPeriod] = []
         for j in range(span):
@@ -1027,14 +967,7 @@ class DatacenterSession:
                     )
                     for r in range(model.n_racks)
                 )
-            staging_j = None
-            chiller_w_j = rack_chiller_w
-            if bank is not None:
-                thermal_load_w = sum(rack_chiller_w)
-                staging_j = bank.stage(self.setpoint_c, thermal_load_w, times[j])
-                if thermal_load_w > 0.0:
-                    scale = staging_j.electrical_power_w / thermal_load_w
-                    chiller_w_j = [power * scale for power in rack_chiller_w]
+            staging_j, chiller_w_j = self._stage(rack_chiller_w, times[j])
             periods.append(
                 DatacenterPeriod(
                     time_s=times[j],
@@ -1098,7 +1031,7 @@ class DatacenterSession:
         period run at full resolution?
         """
         cfg = self.model.coarsening
-        if cfg is None or self.floor_engine is None:
+        if cfg is None:
             return 1, "disabled"
         state = self._coarse_state
         if state is None:
@@ -1184,7 +1117,7 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         store_stats_before = {key: store.stats for key, store in stores.items()}
         rom_before = (
             self.floor_engine.rom_stats.copy()
-            if self.floor_engine is not None and model.coarsening is not None
+            if model.coarsening is not None
             else None
         )
 

@@ -4,8 +4,8 @@ The rack companion of the fig8 controller study and of Section V's
 rack-level evaluation: the same flow-rate-first/DVFS-second controller
 drives a homogeneous rack over a phased PARSEC trace twice — once as
 independent per-server transient traces (each server its own simulation,
-operator factorizations and lane marches), and once through the
-:class:`~repro.core.rack_session.RackSession` engine, where every server
+operator factorizations and lane marches), and once as a one-rack
+:class:`~repro.datacenter.floor.FloorEngine` floor, where every server
 sharing a cooling boundary advances through one cached factorization per
 substep via multi-column back-substitution.  The decisions are identical by
 construction (the batched path reproduces the per-server path to round-off);

@@ -29,7 +29,7 @@ from repro.datacenter.supervisory import (
     SupervisoryAction,
     SupervisoryController,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.chiller import ChillerPlant
@@ -211,6 +211,31 @@ class TestSupervisoryController:
 
 
 class TestDatacenterValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_setpoint_rejected_naming_the_setpoint(
+        self, floorplan, power_model, bad
+    ):
+        """A NaN/inf setpoint fails up front, not later inside the chiller."""
+        scenario = _scenario(floorplan, n_racks=1, servers_per_rack=1)
+        with pytest.raises(ValidationError, match="supply_setpoint_c"):
+            DatacenterModel(
+                scenario.racks,
+                floorplan=floorplan,
+                power_model=power_model,
+                thermal_simulator=_simulator(floorplan),
+                supply_setpoint_c=bad,
+            )
+        floor = _floor(scenario, floorplan, power_model)
+        with pytest.raises(ValidationError, match="setpoint_c"):
+            floor.session(setpoint_c=bad)
+        with pytest.raises(ValidationError, match="setpoint_c"):
+            floor.run_trace(setpoint_c=bad, duration_s=4.0)
+        session = floor.session()
+        with pytest.raises(ValidationError, match="setpoint_c"):
+            session.set_setpoint(bad)
+        # The rejected move left the session untouched.
+        assert session.setpoint_c == floor.supply_setpoint_c
+
     def test_empty_floor_rejected(self):
         with pytest.raises(ConfigurationError):
             DatacenterModel([])

@@ -14,8 +14,11 @@ The load-bearing guarantees of :mod:`repro.datacenter.floor`:
   factorizations, asserted via merged :class:`CacheStats`;
 * :meth:`DatacenterSession.cache_stats` counts every distinct cache
   exactly once on a heterogeneous floor (no double-count, no drop);
-* ``engine="per-rack"`` (the benchmark baseline) and the floor engine
-  produce identical traces.
+* the floor engine and the rack-at-a-time golden lane
+  (``reference_rack_lane.py``, the benchmark baseline) produce identical
+  traces;
+* SKUs on the same grid pitch but different grid shapes march their
+  evaporator lanes separately instead of crashing in one stacked march.
 """
 
 import pytest
@@ -27,6 +30,7 @@ from repro.core.rack_session import RackSession, ServerLoad
 from repro.core.runtime_controller import RackServer, ThermosyphonController
 from repro.datacenter.floor import FloorEngine
 from repro.datacenter.model import DatacenterModel, RackSpec
+from repro.datacenter.scenarios import build_scenario
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import ServerPowerModel
@@ -41,6 +45,7 @@ from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import generate_trace
+from reference_rack_lane import run_reference_floor
 
 CELL_SIZE_MM = 2.5
 CONTROL_PERIOD_S = 2.0
@@ -101,16 +106,6 @@ class TestFloorEngineValidation:
         with pytest.raises(ValidationError):
             engine.advance([[load], [load]], 2.0)
 
-    def test_bad_engine_name_rejected(self, floorplan, x264):
-        servers = _servers(floorplan, x264, 1)
-        with pytest.raises(ConfigurationError):
-            DatacenterModel(
-                [RackSpec(name="r0", servers=servers)],
-                floorplan=floorplan,
-                thermal_simulator=_simulator(floorplan),
-                engine="batch",
-            )
-
 
 class TestMixedSkuEquivalence:
     def test_bit_identical_to_standalone_rack_traces(
@@ -154,7 +149,6 @@ class TestMixedSkuEquivalence:
         )
         assert floor.n_hardware_groups == 2
         session = floor.session()
-        assert session.floor_engine is not None
         assert session.floor_engine.n_hardware_groups == 2
         trace = session.run(duration_s=DURATION_S)
         assert all(value == setpoint for value in trace.setpoint_c)
@@ -187,13 +181,13 @@ class TestMixedSkuEquivalence:
             assert floor_rack.chiller_power_w == standalone.chiller_power_w
 
     def test_engines_agree(self, floorplan, power_model, x264, canneal):
-        """The floor engine and the per-rack baseline produce one answer."""
+        """The floor engine and the rack-at-a-time golden lane agree exactly."""
         racks = [
             RackSpec(name="r0", servers=_servers(floorplan, x264, 2)),
             RackSpec(name="r1", servers=_servers(floorplan, canneal, 2)),
         ]
 
-        def build(engine):
+        def build():
             return DatacenterModel(
                 racks,
                 plant=ChillerPlant(free_cooling_outdoor_c=18.0),
@@ -201,11 +195,13 @@ class TestMixedSkuEquivalence:
                 power_model=power_model,
                 thermal_simulator=_simulator(floorplan),
                 control_period_s=CONTROL_PERIOD_S,
-                engine=engine,
             )
 
-        floor_trace = build("floor").run_trace(duration_s=DURATION_S)
-        rack_trace = build("per-rack").run_trace(duration_s=DURATION_S)
+        floor_trace = build().run_trace(duration_s=DURATION_S)
+        rack_trace = run_reference_floor(build(), duration_s=DURATION_S)
+        assert floor_trace.n_periods == rack_trace.n_periods
+        assert floor_trace.plant_power_w == rack_trace.plant_power_w
+        assert floor_trace.factorizations == rack_trace.factorizations
         for ours, theirs in zip(floor_trace.racks, rack_trace.racks):
             assert ours.chiller_power_w == theirs.chiller_power_w
             for period_a, period_b in zip(ours.periods, theirs.periods):
@@ -415,3 +411,62 @@ class TestMappingMemo:
             id(mapping) for rack in session._mappings for mapping in rack
         }
         assert len(resolved) == 1
+
+
+class TestSamePitchDifferentShape:
+    def test_two_skus_on_one_pitch_march_separately(self):
+        """Regression: equal cell pitch, different grid shape, one floor.
+
+        The 38 mm and 44 mm spreaders both mesh at a 2 mm pitch but into
+        different grid shapes.  Their servers converge one shared loop
+        operating point, so the stacked lane march must still be split by
+        grid shape — stacking both shapes into one array used to crash.
+        """
+        small = build_xeon_e5_v4_floorplan(spreader_size_mm=38.0)
+        large = build_xeon_e5_v4_floorplan(spreader_size_mm=44.0)
+        sim_small = ThermalSimulator(small, cell_size_mm=2.0)
+        sim_large = ThermalSimulator(large, cell_size_mm=2.0)
+        assert tuple(sim_small.grid.cell_pitch_mm()) == tuple(
+            sim_large.grid.cell_pitch_mm()
+        )
+        assert (sim_small.grid.n_rows, sim_small.grid.n_columns) != (
+            sim_large.grid.n_rows,
+            sim_large.grid.n_columns,
+        )
+        rack = build_scenario(
+            "diurnal",
+            n_racks=1,
+            servers_per_rack=1,
+            duration_s=8.0,
+            seed=0,
+            floorplan=small,
+        ).racks[0]
+        model = DatacenterModel(
+            [
+                RackSpec(name="small", servers=rack.servers, trace=rack.trace),
+                RackSpec(
+                    name="large",
+                    servers=rack.servers,
+                    trace=rack.trace,
+                    floorplan=large,
+                ),
+            ],
+            plant=ChillerPlant(free_cooling_outdoor_c=18.0),
+            floorplan=small,
+            thermal_simulator=sim_small,
+            control_period_s=CONTROL_PERIOD_S,
+            cell_size_mm=2.0,
+        )
+        assert model.n_hardware_groups == 2
+        trace = model.run_trace(duration_s=8.0)
+        assert trace.n_periods == 4
+        # Each SKU still matches its own rack-at-a-time golden run.
+        golden = run_reference_floor(model, duration_s=8.0)
+        assert trace.plant_power_w == golden.plant_power_w
+        for ours, theirs in zip(trace.racks, golden.racks):
+            for period_a, period_b in zip(ours.periods, theirs.periods):
+                for decision_a, decision_b in zip(period_a, period_b):
+                    for field in _DECISION_FIELDS:
+                        assert getattr(decision_a, field) == getattr(
+                            decision_b, field
+                        ), field

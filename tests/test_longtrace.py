@@ -223,16 +223,6 @@ class TestSnapshotRestoreWithCoarseLanes:
 
 
 class TestConfigValidation:
-    def test_coarsening_requires_floor_engine(self, scenario, floorplan, power_model):
-        with pytest.raises(ConfigurationError):
-            _model(
-                scenario,
-                floorplan,
-                power_model,
-                CoarseningConfig(),
-                engine="per-rack",
-            )
-
     def test_coarsening_config_validation(self):
         with pytest.raises(Exception):
             CoarseningConfig(min_span=1)
@@ -240,6 +230,15 @@ class TestConfigValidation:
             CoarseningConfig(min_span=8, max_span=4)
         with pytest.raises(Exception):
             CoarseningConfig(quasi_steady_tol_c=-1.0)
+        # Spans are dyadic: a non-power-of-two bound is rejected, naming it,
+        # instead of silently acting as the next power of two below it.
+        with pytest.raises(ConfigurationError, match="max_span"):
+            CoarseningConfig(max_span=48)
+        with pytest.raises(ConfigurationError, match="min_span"):
+            CoarseningConfig(min_span=6)
+        with pytest.raises(ConfigurationError, match="min_span"):
+            CoarseningConfig(min_span=3, max_span=64)
+        assert CoarseningConfig(min_span=2, max_span=128).max_span == 128
 
     def test_advance_span_requires_warm_floor(
         self, scenario, floorplan, power_model

@@ -3,7 +3,10 @@
 The load-bearing guarantees: every batched layer (grouped operating points,
 stacked lane march, multi-column back-substitution) reproduces the
 per-server :class:`SimulationSession` to <= 1e-12 across homogeneous and
-heterogeneous slots; the session-backed :class:`RackModel` matches the old
+heterogeneous slots — on the transient lane through a one-rack
+:class:`FloorEngine`, the only owner of rack temperature state; a rack
+trace reproduces the standalone rack lane (``reference_rack_lane.py``) bit
+for bit; the session-backed :class:`RackModel` matches the old
 :class:`BatchEvaluator` path exactly; and the batched engine actually pays
 fewer factorizations — one per distinct cooling boundary instead of one per
 server, asserted through merged :class:`CacheStats`.
@@ -19,16 +22,21 @@ from repro.core.rack_session import RackSession, ServerLoad
 from repro.core.runtime_controller import RackServer, ThermosyphonController
 from repro.core.session import SimulationSession
 from repro.core.pipeline import CooledServerSimulation
+from repro.datacenter.floor import FloorEngine
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
+from repro.thermosyphon.chiller import ChillerModel
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import PhasedTrace, TracePhase
+from reference_rack_lane import ReferenceRackLane, run_rack_period
 
 CELL_SIZE_MM = 2.5
+#: A case limit the jittered test trace crosses, so valves act.
+LOW_CASE_LIMIT_C = 60.0
 
 
 def _mapping(floorplan, benchmark, frequency_ghz=3.2):
@@ -46,6 +54,26 @@ def _rack_session(floorplan, power_model, n_servers, **kwargs):
         thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
         **kwargs,
     )
+
+
+class _OneRackFloor:
+    """A one-rack :class:`FloorEngine` driven with one rack's arguments."""
+
+    def __init__(self, session):
+        self.session = session
+        self.engine = FloorEngine([session])
+
+    def advance(self, loads, dt_s, *, n_substeps=1, force_boundary_refresh=False):
+        return self.engine.advance(
+            [loads],
+            dt_s,
+            n_substeps=n_substeps,
+            force_boundary_refresh=[force_boundary_refresh],
+        ).racks[0]
+
+
+def _one_rack_floor(floorplan, power_model, n_servers, **kwargs):
+    return _OneRackFloor(_rack_session(floorplan, power_model, n_servers, **kwargs))
 
 
 def _golden_session(floorplan, power_model):
@@ -267,7 +295,7 @@ class TestTransientLane:
         """A short jittered rack trace advances exactly like golden sessions."""
         benchmarks = [x264, x264, canneal]
         mappings = [_mapping(floorplan, bench) for bench in benchmarks]
-        rack = _rack_session(floorplan, power_model, 3)
+        rack = _one_rack_floor(floorplan, power_model, 3)
         golden = [_golden_session(floorplan, power_model) for _ in benchmarks]
 
         for activity in (1.0, 0.97, 1.02, 0.95):
@@ -299,7 +327,7 @@ class TestTransientLane:
 
     def test_small_jitter_holds_boundaries(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 2)
+        rack = _one_rack_floor(floorplan, power_model, 2)
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 2
         first = rack.advance(loads, dt_s=2.0)
         assert first.boundary_refreshes == 2
@@ -311,7 +339,7 @@ class TestTransientLane:
 
     def test_per_server_force_refresh(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 3)
+        rack = _one_rack_floor(floorplan, power_model, 3)
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 3
         rack.advance(loads, dt_s=2.0)
         step = rack.advance(loads, dt_s=2.0, force_boundary_refresh=[False, True, False])
@@ -323,17 +351,23 @@ class TestTransientLane:
 
     def test_reset_forgets_state(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 2)
-        rack.advance([ServerLoad(benchmark=x264, mapping=mapping)] * 2, dt_s=2.0)
-        assert rack.temperatures is not None
-        rack.reset()
-        assert rack.temperatures is None
+        rack = _one_rack_floor(floorplan, power_model, 2)
+        loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 2
+        rack.advance(loads, dt_s=2.0)
+        assert rack.engine.snapshot().group_fields[0] is not None
+        rack.engine.reset()
+        assert rack.engine.snapshot().group_fields[0] is None
+        assert rack.session.snapshot().boundaries == (None, None)
+        # The next advance starts cold: every boundary is rebuilt.
+        assert rack.advance(loads, dt_s=2.0).boundary_refreshes == 2
 
     def test_load_count_validated(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 3)
+        rack = _one_rack_floor(floorplan, power_model, 3)
         with pytest.raises(ValidationError):
-            rack.solve_steady([ServerLoad(benchmark=x264, mapping=mapping)] * 2)
+            rack.session.solve_steady(
+                [ServerLoad(benchmark=x264, mapping=mapping)] * 2
+            )
         with pytest.raises(ValidationError):
             rack.advance(
                 [ServerLoad(benchmark=x264, mapping=mapping)] * 3,
@@ -431,6 +465,75 @@ class TestRackTrace:
         assert "servers" in summary
         assert "factorizations" in summary
 
+    def test_rack_trace_matches_reference_rack_lane(
+        self, floorplan, power_model, x264, canneal, jittered_trace
+    ):
+        """A rack trace (a one-rack floor) == the standalone rack lane, bitwise.
+
+        The golden loop refreshes boundaries rack-locally and owns its own
+        fields; ``run_rack_trace`` drives the floor engine.  A low case
+        limit makes the valves act, so boundary refreshes, regrouping and
+        the decision rule are all exercised.
+        """
+        servers = [
+            RackServer(bench, _mapping(floorplan, bench), QoSConstraint(2.0))
+            for bench in (x264, canneal, x264)
+        ]
+
+        def controller():
+            simulation = CooledServerSimulation(
+                floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(
+                    floorplan, cell_size_mm=CELL_SIZE_MM
+                ),
+            )
+            return ThermosyphonController(
+                simulation, control_period_s=2.0, t_case_max_c=LOW_CASE_LIMIT_C
+            )
+
+        record = controller().run_rack_trace(
+            servers, jittered_trace, transient_substeps=3
+        )
+
+        golden_controller = controller()
+        simulation = golden_controller.simulation
+        lane = ReferenceRackLane(
+            RackSession(
+                len(servers),
+                floorplan=simulation.floorplan,
+                design=simulation.design,
+                power_model=simulation.power_model,
+                thermal_simulator=simulation.thermal_simulator,
+            )
+        )
+        water_loops = [simulation.design.water_loop()] * len(servers)
+        frequencies = [s.mapping.configuration.frequency_ghz for s in servers]
+        mappings = [s.mapping for s in servers]
+        force_refresh = [False] * len(servers)
+        chiller = ChillerModel()
+        traces = [jittered_trace] * len(servers)
+        golden = []
+        time_s = 0.0
+        while time_s < jittered_trace.duration_s:
+            golden.append(
+                run_rack_period(
+                    lane, servers, traces, mappings, frequencies, water_loops,
+                    force_refresh, time_s, 2.0, 3, golden_controller, chiller,
+                )
+            )
+            time_s += 2.0
+
+        assert len(record.periods) == len(golden)
+        actions = set()
+        for ours, (theirs, chiller_w) in zip(
+            zip(record.periods, record.chiller_power_w), golden
+        ):
+            assert ours[1] == chiller_w
+            assert ours[0] == theirs
+            actions.update(decision.action for decision in ours[0])
+        assert len(actions) > 1
+
     def test_missing_trace_rejected(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
         simulation = CooledServerSimulation(
@@ -500,7 +603,6 @@ class TestBoundaryRefreshPolicyPlumbing:
             boundary_refresh_tol=0.2,
         )
         assert session.effective_boundary_refresh_tol() == pytest.approx(0.2)
-        assert session.boundary_refresh_rtol == pytest.approx(0.2)  # compat alias
 
     def test_zero_tolerance_accepted_by_controller(self, floorplan, power_model):
         """tol=0.0 (refresh every period) is a legitimate ablation setting."""
@@ -511,45 +613,3 @@ class TestBoundaryRefreshPolicyPlumbing:
         )
         controller = ThermosyphonController(simulation, boundary_refresh_tol=0.0)
         assert controller.boundary_refresh_tol == 0.0
-
-    def test_rtol_keyword_and_setter_compat(self, floorplan, power_model):
-        """The original boundary_refresh_rtol spelling still constructs and sets."""
-        session = SimulationSession(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-            boundary_refresh_rtol=0.1,
-        )
-        assert session.boundary_refresh_tol == pytest.approx(0.1)
-        session.boundary_refresh_rtol = 0.25
-        assert session.boundary_refresh_tol == pytest.approx(0.25)
-
-
-class TestWarmSessionReuse:
-    def test_supplied_rack_session_keeps_state_across_traces(
-        self, floorplan, power_model, x264
-    ):
-        """A caller-supplied session continues warm; the default path is cold."""
-        mapping = _mapping(floorplan, x264)
-        simulation = CooledServerSimulation(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-        )
-        controller = ThermosyphonController(
-            simulation, control_period_s=2.0, relax_margin_c=100.0
-        )
-        session = RackSession(
-            2,
-            floorplan=floorplan,
-            power_model=power_model,
-            thermal_simulator=simulation.thermal_simulator,
-        )
-        servers = [RackServer(x264, mapping, QoSConstraint(2.0)) for _ in range(2)]
-        trace = PhasedTrace("short", (TracePhase(2.0, 1.0, 0.5),) * 2)
-        controller.run_rack_trace(servers, trace, rack_session=session)
-        warm = session.temperatures
-        assert warm is not None
-        controller.run_rack_trace(servers, trace, rack_session=session)
-        # The second trace advanced the same fields instead of resetting.
-        assert session.temperatures is not None
