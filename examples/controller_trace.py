@@ -5,10 +5,11 @@ Plays the same phased workload trace through the runtime controller twice:
 * ``mode="steady"`` re-solves thermal equilibrium every control period —
   every power jitter re-keys the cooling boundary and costs an operator
   factorization;
-* ``mode="transient"`` carries the temperature field across periods in a
-  warm-start ``SimulationSession`` and advances it with cached
-  backward-Euler steps — the boundary is held between actuator events, so
-  the whole trace runs on a handful of factorizations.
+* ``mode="transient"`` carries the temperature field across periods on a
+  one-server ``FloorEngine`` (the engine that also runs racks and floors)
+  and advances it with cached backward-Euler steps — the boundary is held
+  between actuator events, so the whole trace runs on a handful of
+  factorizations.
 
 Run with::
 

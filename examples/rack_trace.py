@@ -10,8 +10,8 @@ trace costs roughly ``n_servers`` times fewer factorizations than the
 independent per-server traces it reproduces to round-off.
 
 For comparison the same trace is also run server-by-server through
-independent simulations — the golden path the batched engine is checked
-against in ``tests/test_rack_session.py``.
+independent simulations, each a one-server floor with its own
+factorization cache.
 
 Run with::
 

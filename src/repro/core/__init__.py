@@ -15,8 +15,8 @@ from repro.core.mapping_policies import (
     ClusteredMapping,
 )
 from repro.core.mapping import ThreadMapper, WorkloadMapping
-from repro.core.pipeline import CooledServerSimulation, EvaluationResult, ThermalAwarePipeline
-from repro.core.session import SessionAdvance, SimulationSession, TransientStepResult
+from repro.core.pipeline import CooledServerSimulation, ThermalAwarePipeline
+from repro.core.session import EvaluationResult, SimulationSession
 from repro.core.rack_session import RackAdvance, RackSession, ServerAdvance, ServerLoad
 from repro.core.runtime_controller import (
     ControllerDecision,
@@ -44,9 +44,7 @@ __all__ = [
     "CooledServerSimulation",
     "EvaluationResult",
     "ThermalAwarePipeline",
-    "SessionAdvance",
     "SimulationSession",
-    "TransientStepResult",
     "RackAdvance",
     "RackSession",
     "ServerAdvance",

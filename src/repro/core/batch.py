@@ -46,11 +46,8 @@ from dataclasses import dataclass, replace
 from repro.core.config_selection import QoSAwareConfigSelector
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.mapping_policies import MappingPolicy
-from repro.core.pipeline import (
-    CooledServerSimulation,
-    EvaluationResult,
-    ThermalAwarePipeline,
-)
+from repro.core.pipeline import CooledServerSimulation, ThermalAwarePipeline
+from repro.core.session import EvaluationResult
 from repro.exceptions import ConfigurationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.batch import DesignSweepEvaluator
-from repro.core.pipeline import EvaluationResult, T_CASE_MAX_C
+from repro.core.session import EvaluationResult, T_CASE_MAX_C
 from repro.floorplan.floorplan import Floorplan
 from repro.power.power_model import CoreActivity, ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator

@@ -2,14 +2,11 @@
 
 ``CooledServerSimulation`` wires the four substrates together for one
 server: floorplan -> power model -> thermosyphon loop -> thermal simulator.
-Since the session refactor it is a thin facade over
-:class:`repro.core.session.SimulationSession`, which also owns the
-warm-start transient lane used by the runtime controller;
-``EvaluationResult`` and ``T_CASE_MAX_C`` live in that module and are
-re-exported here for backwards compatibility.  ``ThermalAwarePipeline``
-adds the paper's decision layer on top: QoS-aware configuration selection
-(Algorithm 1), C-state-aware thread mapping, and the resulting thermal
-evaluation.
+It is a thin facade over the steady lane of
+:class:`repro.core.session.SimulationSession`, where ``EvaluationResult``
+and ``T_CASE_MAX_C`` also live.  ``ThermalAwarePipeline`` adds the paper's
+decision layer on top: QoS-aware configuration selection (Algorithm 1),
+C-state-aware thread mapping, and the resulting thermal evaluation.
 """
 
 from __future__ import annotations
@@ -17,12 +14,7 @@ from __future__ import annotations
 from repro.core.config_selection import ConfigurationSelection, QoSAwareConfigSelector
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.mapping_policies import MappingPolicy, ProposedThermalAwareMapping
-from repro.core.session import (  # noqa: F401  (re-exported API)
-    EvaluationResult,
-    SimulationSession,
-    T_CASE_MAX_C,
-    TransientStepResult,
-)
+from repro.core.session import EvaluationResult, SimulationSession
 from repro.floorplan.floorplan import Floorplan
 from repro.power.power_model import CoreActivity, ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator
@@ -38,9 +30,9 @@ class CooledServerSimulation:
     """One server CPU cooled by one thermosyphon.
 
     A facade over :class:`SimulationSession`: the quasi-static
-    ``simulate_*`` methods delegate to the session's steady lane, and the
-    session itself (with its warm-start transient lane) is exposed as
-    :attr:`session` for time-stepped studies.
+    ``simulate_*`` methods delegate to the session, which is exposed as
+    :attr:`session`.  Time-stepped studies take the substrates from here
+    (``ThermosyphonController`` runs them on a one-server floor engine).
     """
 
     def __init__(

@@ -3,7 +3,7 @@
 Section V evaluates whole racks — many thermosyphon-cooled servers behind
 one chiller — and rack hardware is homogeneous: every server carries the
 same CPU, the same thermosyphon design and therefore the *same thermal
-network*.  :class:`RackSession` exploits that: instead of running
+network*.  :class:`RackSession` exploits that: instead of solving
 ``n_servers`` independent :class:`~repro.core.session.SimulationSession`
 pipelines (each paying its own operator factorization, lane march and
 loop-convergence iteration), it batches every layer of a rack's
@@ -27,11 +27,12 @@ to <= 1e-12.
 
 On the transient lane a rack session holds one cooling-boundary state per
 server (operating point + per-cell HTC/fluid maps), refreshed under the
-same drift policy as the single-server session, plus each server's last
-settle residual.  The temperature fields themselves belong to
-:class:`~repro.datacenter.floor.FloorEngine`, which advances every rack of
-a floor — a single rack is a one-rack floor — and hands each rack its row
-block through :meth:`RackSession.finish_advance`.
+drift policy of :func:`power_drift_exceeds` and :func:`adaptive_refresh_tol`,
+plus each server's last settle residual.  The temperature fields themselves
+belong to :class:`~repro.datacenter.floor.FloorEngine`, which advances every
+rack of a floor — a single rack is a one-rack floor, a single server a
+one-server rack — and hands each rack its row block through
+:meth:`RackSession.finish_advance`.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.mapping import ThreadMapper, WorkloadMapping
-from repro.core.session import (
-    EvaluationResult,
-    adaptive_refresh_tol,
-    build_evaluation_result,
-    power_drift_exceeds,
-)
+from repro.core.session import EvaluationResult, build_evaluation_result
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
@@ -59,6 +55,31 @@ from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, Thermosy
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
+
+
+def adaptive_refresh_tol(
+    tol: float, adaptive: bool, residual_c: float | None, reference_c: float
+) -> float:
+    """The boundary-refresh tolerance effective at a given settle residual.
+
+    The single source of the adaptive policy: in the static mode (or with
+    no residual yet, or a settled field) the tolerance is ``tol``; above
+    ``reference_c`` it tightens proportionally (``tol * reference /
+    residual``), so mid-transient periods refresh sooner.
+    """
+    if not adaptive or residual_c is None or residual_c <= reference_c:
+        return tol
+    return tol * reference_c / residual_c
+
+
+def power_drift_exceeds(total_power_w: float, reference_w: float, tol: float) -> bool:
+    """True when the power drifted beyond the tolerance of its reference.
+
+    The drift test every server holds its cooling boundary against
+    (relative to the power the boundary was built at, with a floor guarding
+    the zero-power case).
+    """
+    return abs(total_power_w - reference_w) > tol * max(abs(reference_w), 1e-9)
 
 
 @dataclass(frozen=True)
@@ -145,11 +166,18 @@ class RackSession:
         The shared hardware substrate, as for
         :class:`~repro.core.session.SimulationSession`.  One thermal
         simulator (network + factorization cache) serves the whole rack.
-    boundary_refresh_tol, adaptive_boundary_refresh,
-    adaptive_residual_reference_c:
-        Per-server cooling-boundary refresh policy on the transient lane,
-        identical to the single-server session; the adaptive mode tracks
-        each server's own settle residual.
+    boundary_refresh_tol:
+        Relative total-power drift that triggers a server's cooling-boundary
+        rebuild on the transient lane.  The boundary (per-cell HTC and fluid
+        temperature) varies weakly with power, so small workload jitter does
+        not warrant a new operator factorization; actuator changes always
+        refresh regardless of this tolerance.
+    adaptive_boundary_refresh, adaptive_residual_reference_c:
+        Settle-residual-driven adaptive mode: while a server's previous
+        period left its field changing by more than
+        ``adaptive_residual_reference_c`` per substep, its effective
+        tolerance shrinks proportionally, relaxing back to
+        ``boundary_refresh_tol`` once the field has settled.
     """
 
     def __init__(

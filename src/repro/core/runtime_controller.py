@@ -17,15 +17,16 @@ Two execution modes are offered by :meth:`ThermosyphonController.run_trace`:
     new operator factorization.
 
 ``mode="transient"``
-    The time-domain study, closer to the paper's runtime claim: the
-    temperature field is carried across periods by the warm-start
-    :class:`~repro.core.session.SimulationSession` and advanced with
-    backward-Euler steps.  The cooling boundary is held between actuator
-    events (and refreshed on large power drift), so a whole trace runs on a
-    handful of factorizations — each period is a few cached
-    back-substitutions.  Decisions gain transient diagnostics: the settle
-    residual (how far from equilibrium the period ended) and the peak case
-    temperature observed *within* the period.
+    The time-domain study, closer to the paper's runtime claim: the trace
+    runs as a one-server :meth:`ThermosyphonController.run_rack_trace`, so
+    the temperature field is carried across periods by the same
+    :class:`~repro.datacenter.floor.FloorEngine` that advances racks and
+    floors, with backward-Euler steps.  The cooling boundary is held
+    between actuator events (and refreshed on large power drift), so a
+    whole trace runs on a handful of factorizations — each period is a few
+    cached back-substitutions.  Decisions gain transient diagnostics: the
+    settle residual (how far from equilibrium the period ended) and the
+    peak case temperature observed *within* the period.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.mapping import ThreadMapper, WorkloadMapping
-from repro.core.pipeline import CooledServerSimulation, EvaluationResult, T_CASE_MAX_C
+from repro.core.pipeline import CooledServerSimulation
 from repro.core.rack_session import RackSession, ServerLoad
+from repro.core.session import EvaluationResult, T_CASE_MAX_C
 from repro.exceptions import ConfigurationError, ThermalEmergencyError
 from repro.power.dvfs import CORE_FREQUENCIES_GHZ
 from repro.thermal.solver_cache import CacheStats
@@ -68,9 +70,6 @@ ACTUATOR_ACTIONS = frozenset(
         ControllerAction.LOWER_FREQUENCY,
     }
 )
-
-#: Backwards-compatible private alias.
-_ACTUATOR_ACTIONS = ACTUATOR_ACTIONS
 
 
 def mapping_at_frequency(
@@ -523,9 +522,9 @@ class ThermosyphonController:
 
     ``boundary_refresh_tol`` and ``adaptive_boundary_refresh`` plumb the
     transient lane's cooling-boundary refresh policy through the controller:
-    when given, they are applied to the simulation session (and to the rack
-    session built by :meth:`run_rack_trace`) before a trace runs; ``None``
-    keeps the session's own setting.
+    when given, they are applied to the rack session every transient trace
+    (single-server or rack) runs on; ``None`` keeps the rack session's
+    default.
     """
 
     def __init__(
@@ -623,8 +622,8 @@ class ThermosyphonController:
         """Run the controller over a phased workload trace.
 
         ``mode="steady"`` re-solves equilibrium each period (the original
-        quasi-static study); ``mode="transient"`` advances the simulation
-        session's warm-start temperature field with ``transient_substeps``
+        quasi-static study); ``mode="transient"`` runs the trace as a
+        one-server :meth:`run_rack_trace` with ``transient_substeps``
         backward-Euler substeps per control period and populates the
         transient diagnostics on every decision.  The decision rule itself
         is identical in both modes.
@@ -633,8 +632,19 @@ class ThermosyphonController:
             raise ConfigurationError(
                 f"mode must be 'steady' or 'transient', got {mode!r}"
             )
+        if mode == "transient":
+            rack = self.run_rack_trace(
+                [RackServer(benchmark, mapping, constraint)],
+                trace,
+                initial_water_loop=initial_water_loop,
+                transient_substeps=transient_substeps,
+            )
+            return ControllerTrace(
+                decisions=rack.server_decisions(0),
+                mode="transient",
+                factorizations=rack.factorizations,
+            )
         session = self.simulation.session
-        self._apply_refresh_policy(session)
         mapper = ThreadMapper(
             self.simulation.floorplan, orientation=self.simulation.design.orientation
         )
@@ -645,43 +655,23 @@ class ThermosyphonController:
         )
         frequency = mapping.configuration.frequency_ghz
         record = ControllerTrace(mode=mode)
-        if mode == "transient":
-            session.reset()
         cache = self.simulation.thermal_simulator.solver_cache
         misses_before = cache.stats.misses if cache is not None else None
 
         current_mapping = mapping_at_frequency(mapping, frequency)
-        force_refresh = False
         time_s = 0.0
         while time_s < trace.duration_s:
             phase = trace.phase_at(time_s)
             if current_mapping.configuration.frequency_ghz != frequency:
                 # Only rebuild configuration/mapping when DVFS actually acted.
                 current_mapping = mapping_at_frequency(mapping, frequency)
-            settle_residual: float | None = None
-            period_peak: float | None = None
-            if mode == "steady":
-                result = session.solve_steady_mapping(
-                    benchmark,
-                    current_mapping,
-                    mapper=mapper,
-                    water_loop=water_loop,
-                    activity_factor=phase.activity_factor,
-                )
-            else:
-                step = session.advance_mapping(
-                    benchmark,
-                    current_mapping,
-                    self.control_period_s,
-                    mapper=mapper,
-                    water_loop=water_loop,
-                    activity_factor=phase.activity_factor,
-                    n_substeps=transient_substeps,
-                    force_boundary_refresh=force_refresh,
-                )
-                result = step.result
-                settle_residual = step.settle_residual_c
-                period_peak = step.period_peak_case_c
+            result = session.solve_steady_mapping(
+                benchmark,
+                current_mapping,
+                mapper=mapper,
+                water_loop=water_loop,
+                activity_factor=phase.activity_factor,
+            )
             # Capture the actuator settings this period actually ran with
             # before decide() computes the next period's settings.
             evaluated_flow_kg_h = water_loop.flow_rate_kg_h
@@ -689,7 +679,6 @@ class ThermosyphonController:
             action, water_loop, frequency = self.decide(
                 result, water_loop, benchmark, constraint
             )
-            force_refresh = action in _ACTUATOR_ACTIONS
             record.decisions.append(
                 ControllerDecision(
                     time_s=time_s,
@@ -699,8 +688,6 @@ class ThermosyphonController:
                     water_flow_kg_h=evaluated_flow_kg_h,
                     frequency_ghz=evaluated_frequency_ghz,
                     action=action,
-                    settle_residual_c=settle_residual,
-                    period_peak_case_c=period_peak,
                 )
             )
             time_s += self.control_period_s
@@ -736,8 +723,9 @@ class ThermosyphonController:
         longest trace ends, shorter traces idling on their final phase).
         Every call starts cold on a fresh rack session built on the
         simulation's floorplan, power model and thermal simulator, so the
-        factorization cache is shared with any single-server studies on the
-        same simulation.
+        factorization cache is shared with any steady studies on the same
+        simulation.  :meth:`run_trace` in transient mode is this method on
+        a one-server rack.
         """
         # Imported here: the datacenter layer builds on this module.
         from repro.datacenter.floor import FloorEngine

@@ -1,39 +1,20 @@
-"""Stateful simulation session: steady solves and warm-start transient stepping.
+"""Single-server simulation session: the quasi-static (steady) lane.
 
-:class:`SimulationSession` is the time-stepped heart of the runtime studies.
-It owns the four substrates for one server (floorplan -> power model ->
-thermosyphon loop -> thermal simulator) **plus the state that persists
-between control periods**:
+:class:`SimulationSession` owns the four substrates for one server
+(floorplan -> power model -> thermosyphon loop -> thermal simulator) and
+solves a workload to equilibrium: ``solve_steady`` evaluates a per-core
+activity pattern, ``solve_steady_mapping`` a resolved workload mapping.
+Every call solves from scratch through the shared
+:class:`FactorizationCache`, so repeated cooling boundaries cost one
+back-substitution each.  :class:`repro.core.pipeline.CooledServerSimulation`
+is a thin facade over this class.
 
-* the current temperature field (flat, one entry per network cell), and
-* the current cooling-boundary state (operating point + per-cell HTC/fluid
-  maps from the evaporator lane march).
-
-Two solution lanes are exposed:
-
-``solve_steady(...)``
-    The existing quasi-static path: every call solves equilibrium from
-    scratch (through the shared :class:`FactorizationCache`, so repeated
-    boundaries cost one back-substitution each).
-
-``advance(power_map, water_loop, dt_s)``
-    Warm-start transient stepping.  The temperature field carries over from
-    the previous call and is advanced by backward-Euler steps; the cooling
-    boundary is treated as *slowly varying* — it is recomputed only when the
-    water loop changes, when the caller forces it (an actuator event), or
-    when the total power drifts beyond ``boundary_refresh_tol`` of the
-    value it was last built at.  Because power only enters the RHS of the
-    thermal system, every step at a held boundary is a single cached
-    back-substitution: a whole controller trace can run on one or two
-    factorizations where the steady path refactorizes on every power jitter.
-    With ``adaptive_boundary_refresh`` the tolerance tightens while the
-    field is far from equilibrium (large settle residual), so fast
-    transients track the boundary more closely and settled stretches keep
-    the full factorization savings.
-
-:class:`repro.core.pipeline.CooledServerSimulation` is a thin facade over
-this class; the runtime controller's ``mode="transient"`` drives the
-``advance`` lane directly.
+The session holds no state between calls.  Transient (time-stepped) state
+of a server, a rack or a floor belongs to one engine,
+:class:`~repro.datacenter.floor.FloorEngine`; a single-server controller
+trace (``ThermosyphonController.run_trace(mode="transient")``) runs on a
+one-server floor.  :func:`build_evaluation_result` is shared with the rack
+session, so both report identical derived metrics.
 """
 
 from __future__ import annotations
@@ -52,7 +33,6 @@ from repro.thermosyphon.chiller import ChillerModel
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
-from repro.utils.validation import check_non_negative, check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
 from repro.workloads.configuration import Configuration
 
@@ -110,7 +90,7 @@ def build_evaluation_result(
 
     Shared by :class:`SimulationSession` (one server) and
     :class:`repro.core.rack_session.RackSession` (many servers through one
-    operator), so both lanes report identical derived metrics.
+    operator), so both report identical derived metrics.
     """
     return EvaluationResult(
         benchmark_name=benchmark_name,
@@ -129,96 +109,13 @@ def build_evaluation_result(
     )
 
 
-def adaptive_refresh_tol(
-    tol: float, adaptive: bool, residual_c: float | None, reference_c: float
-) -> float:
-    """The boundary-refresh tolerance effective at a given settle residual.
-
-    The single source of the adaptive policy, shared by
-    :class:`SimulationSession` and the rack engine: in the static mode (or
-    with no residual yet, or a settled field) the tolerance is ``tol``;
-    above ``reference_c`` it tightens proportionally (``tol * reference /
-    residual``), so mid-transient periods refresh sooner.
-    """
-    if not adaptive or residual_c is None or residual_c <= reference_c:
-        return tol
-    return tol * reference_c / residual_c
-
-
-def power_drift_exceeds(total_power_w: float, reference_w: float, tol: float) -> bool:
-    """True when the power drifted beyond the tolerance of its reference.
-
-    The single source of the drift test both session engines hold their
-    cooling boundary against (relative to the power the boundary was built
-    at, with a floor guarding the zero-power case).
-    """
-    return abs(total_power_w - reference_w) > tol * max(abs(reference_w), 1e-9)
-
-
-@dataclass(frozen=True)
-class _BoundaryState:
-    """The cooling boundary currently driving the transient lane."""
-
-    operating_point: LoopOperatingPoint
-    boundary_result: BoundaryResult
-    water_loop: WaterLoop
-    total_power_w: float
-
-
-@dataclass(frozen=True)
-class SessionAdvance:
-    """Outcome of one low-level :meth:`SimulationSession.advance` call."""
-
-    thermal_result: ThermalResult
-    operating_point: LoopOperatingPoint
-    boundary_result: BoundaryResult
-    dt_s: float
-    n_substeps: int
-    #: Largest per-cell temperature change over the final substep; a small
-    #: value means the field has settled at the current power.
-    settle_residual_c: float
-    #: Highest case temperature observed across the substeps of this call.
-    period_peak_case_c: float
-    #: True when this call rebuilt the cooling boundary (actuator event,
-    #: first step, or power drift beyond the refresh tolerance).
-    boundary_refreshed: bool
-
-
-@dataclass(frozen=True)
-class TransientStepResult:
-    """One transient control period: full evaluation plus step diagnostics."""
-
-    result: EvaluationResult
-    dt_s: float
-    n_substeps: int
-    settle_residual_c: float
-    period_peak_case_c: float
-    boundary_refreshed: bool
-
-
 class SimulationSession:
-    """One server CPU cooled by one thermosyphon, with persistent state.
+    """One server CPU cooled by one thermosyphon, solved to equilibrium.
 
     Parameters
     ----------
     floorplan, design, power_model, thermal_simulator, cell_size_mm:
         As for :class:`repro.core.pipeline.CooledServerSimulation`.
-    boundary_refresh_tol:
-        Relative total-power drift that triggers a cooling-boundary rebuild
-        on the transient lane.  The boundary (per-cell HTC and fluid
-        temperature) varies weakly with power, so small workload jitter does
-        not warrant a new operator factorization; actuator changes always
-        refresh regardless of this tolerance.
-    adaptive_boundary_refresh:
-        Settle-residual-driven adaptive mode: while the previous advance
-        left the field changing by more than
-        ``adaptive_residual_reference_c`` per step, the effective tolerance
-        shrinks proportionally (a field mid-transient sees its boundary
-        refreshed sooner), and it relaxes back to ``boundary_refresh_tol``
-        once the field has settled.
-    adaptive_residual_reference_c:
-        Settle residual (degC per substep) at which the adaptive mode
-        starts tightening the tolerance.
     """
 
     def __init__(
@@ -229,9 +126,6 @@ class SimulationSession:
         power_model: ServerPowerModel | None = None,
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
-        boundary_refresh_tol: float = 0.15,
-        adaptive_boundary_refresh: bool = False,
-        adaptive_residual_reference_c: float = 0.5,
     ) -> None:
         self.floorplan = floorplan if floorplan is not None else build_xeon_e5_v4_floorplan()
         self.design = design
@@ -244,16 +138,6 @@ class SimulationSession:
             else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
         )
         self.loop = ThermosyphonLoop(design)
-        self.boundary_refresh_tol = check_non_negative(
-            boundary_refresh_tol, "boundary_refresh_tol"
-        )
-        self.adaptive_boundary_refresh = bool(adaptive_boundary_refresh)
-        self.adaptive_residual_reference_c = check_positive(
-            adaptive_residual_reference_c, "adaptive_residual_reference_c"
-        )
-        self._temperatures: np.ndarray | None = None
-        self._boundary_state: _BoundaryState | None = None
-        self._last_settle_residual_c: float | None = None
 
     # ------------------------------------------------------------------ #
     # Shared helpers
@@ -283,29 +167,6 @@ class SimulationSession:
             n_cores=max(n_active, 1),
             threads_per_core=threads,
             frequency_ghz=frequency_ghz,
-        )
-
-    def _build_result(
-        self,
-        *,
-        benchmark_name: str,
-        configuration: Configuration,
-        mapping: WorkloadMapping | None,
-        breakdown: PowerBreakdown,
-        thermal_result: ThermalResult,
-        operating_point: LoopOperatingPoint,
-        boundary_result: BoundaryResult,
-        water_loop: WaterLoop,
-    ) -> EvaluationResult:
-        return build_evaluation_result(
-            benchmark_name=benchmark_name,
-            configuration=configuration,
-            mapping=mapping,
-            breakdown=breakdown,
-            thermal_result=thermal_result,
-            operating_point=operating_point,
-            boundary_result=boundary_result,
-            water_loop=water_loop,
         )
 
     def _mapper(self, mapper: ThreadMapper | None) -> ThreadMapper:
@@ -342,7 +203,7 @@ class SimulationSession:
         )
         if configuration is None:
             configuration = self._default_configuration(activities, frequency_ghz)
-        return self._build_result(
+        return build_evaluation_result(
             benchmark_name=benchmark_name,
             configuration=configuration,
             mapping=mapping,
@@ -370,215 +231,6 @@ class SimulationSession:
             mapping.configuration.frequency_ghz,
             memory_intensity=benchmark.memory_intensity,
             water_loop=water_loop,
-            benchmark_name=benchmark.name,
-            configuration=mapping.configuration,
-            mapping=mapping,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Transient lane
-    # ------------------------------------------------------------------ #
-    @property
-    def temperatures(self) -> np.ndarray | None:
-        """Current flat temperature field, or None before the first advance."""
-        if self._temperatures is None:
-            return None
-        return self._temperatures.copy()
-
-    @property
-    def boundary_state_age_power_w(self) -> float | None:
-        """Total power the current boundary was built at (None if unset)."""
-        state = self._boundary_state
-        return state.total_power_w if state is not None else None
-
-    def reset(self) -> None:
-        """Forget the temperature field and boundary state.
-
-        The next :meth:`advance` re-initializes from a fresh steady solve,
-        exactly like the first call of a new trace.
-        """
-        self._temperatures = None
-        self._boundary_state = None
-        self._last_settle_residual_c = None
-
-    def effective_boundary_refresh_tol(self) -> float:
-        """The refresh tolerance the next :meth:`advance` will apply.
-
-        Equal to :attr:`boundary_refresh_tol` in the static mode.  In the
-        adaptive mode the tolerance scales with how settled the field was
-        after the previous advance: a residual above
-        ``adaptive_residual_reference_c`` tightens it proportionally
-        (``tol * reference / residual``), so mid-transient periods refresh
-        the boundary sooner while settled stretches keep the static policy.
-        """
-        return adaptive_refresh_tol(
-            self.boundary_refresh_tol,
-            self.adaptive_boundary_refresh,
-            self._last_settle_residual_c,
-            self.adaptive_residual_reference_c,
-        )
-
-    def _ensure_boundary(
-        self, power_map_w: np.ndarray, water_loop: WaterLoop, *, force: bool
-    ) -> bool:
-        """Rebuild the cooling boundary when needed; True if rebuilt."""
-        total_power = float(power_map_w.sum())
-        state = self._boundary_state
-        if not force and state is not None and state.water_loop == water_loop:
-            if not power_drift_exceeds(
-                total_power, state.total_power_w, self.effective_boundary_refresh_tol()
-            ):
-                return False
-        operating_point = self.loop.operating_point(total_power, water_loop)
-        boundary_result = self.loop.cooling_boundary(
-            power_map_w, self.thermal_simulator.grid.cell_pitch_mm(), operating_point
-        )
-        self._boundary_state = _BoundaryState(
-            operating_point=operating_point,
-            boundary_result=boundary_result,
-            water_loop=water_loop,
-            total_power_w=total_power,
-        )
-        return True
-
-    def advance(
-        self,
-        power_map_w: np.ndarray,
-        water_loop: WaterLoop | None = None,
-        dt_s: float = 1.0,
-        *,
-        n_substeps: int = 1,
-        force_boundary_refresh: bool = False,
-    ) -> SessionAdvance:
-        """Advance the temperature field by ``dt_s`` at the given power map.
-
-        The first call (or the first after :meth:`reset`) initializes the
-        field from a steady solve at the current conditions, so traces start
-        at thermal equilibrium like the quasi-static path.  Subsequent calls
-        warm-start from the stored field and take ``n_substeps`` backward-
-        Euler steps of ``dt_s / n_substeps`` each; at a held boundary every
-        substep is one cached back-substitution.
-        """
-        power_map_w = np.asarray(power_map_w, dtype=float)
-        check_positive(dt_s, "dt_s")
-        if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
-        if water_loop is None:
-            water_loop = self.design.water_loop()
-        refreshed = self._ensure_boundary(
-            power_map_w, water_loop, force=force_boundary_refresh
-        )
-        state = self._boundary_state
-        assert state is not None
-        boundary = state.boundary_result.boundary
-        simulator = self.thermal_simulator
-
-        if self._temperatures is None:
-            steady = simulator.steady_state_from_map(power_map_w, boundary)
-            self._temperatures = steady.temperatures_c.ravel().copy()
-
-        field = self._temperatures
-        sub_dt = dt_s / n_substeps
-        residual = 0.0
-        peak_case = float("-inf")
-        thermal_result: ThermalResult | None = None
-        for _ in range(n_substeps):
-            new_field = simulator.transient_step_from_map(field, power_map_w, boundary, sub_dt)
-            residual = float(np.max(np.abs(new_field - field)))
-            field = new_field
-            thermal_result = simulator.result_from_vector(field)
-            peak_case = max(peak_case, thermal_result.case_temperature_c())
-        assert thermal_result is not None
-        self._temperatures = field
-        self._last_settle_residual_c = residual
-        return SessionAdvance(
-            thermal_result=thermal_result,
-            operating_point=state.operating_point,
-            boundary_result=state.boundary_result,
-            dt_s=dt_s,
-            n_substeps=n_substeps,
-            settle_residual_c=residual,
-            period_peak_case_c=peak_case,
-            boundary_refreshed=refreshed,
-        )
-
-    def advance_activities(
-        self,
-        activities: list[CoreActivity],
-        frequency_ghz: float,
-        dt_s: float,
-        *,
-        memory_intensity: float = 0.5,
-        water_loop: WaterLoop | None = None,
-        n_substeps: int = 1,
-        force_boundary_refresh: bool = False,
-        benchmark_name: str = "custom",
-        configuration: Configuration | None = None,
-        mapping: WorkloadMapping | None = None,
-    ) -> TransientStepResult:
-        """One transient control period for a per-core activity pattern.
-
-        The returned :class:`EvaluationResult` carries the fresh package
-        power and the *transient* thermal field; the operating point and
-        channel diagnostics come from the held boundary state (refreshed per
-        the session's tolerance), which is what the field was advanced with.
-        """
-        if water_loop is None:
-            water_loop = self.design.water_loop()
-        breakdown, power_map = self._evaluate_power(
-            activities, frequency_ghz, memory_intensity
-        )
-        advance = self.advance(
-            power_map,
-            water_loop,
-            dt_s,
-            n_substeps=n_substeps,
-            force_boundary_refresh=force_boundary_refresh,
-        )
-        if configuration is None:
-            configuration = self._default_configuration(activities, frequency_ghz)
-        result = self._build_result(
-            benchmark_name=benchmark_name,
-            configuration=configuration,
-            mapping=mapping,
-            breakdown=breakdown,
-            thermal_result=advance.thermal_result,
-            operating_point=advance.operating_point,
-            boundary_result=advance.boundary_result,
-            water_loop=water_loop,
-        )
-        return TransientStepResult(
-            result=result,
-            dt_s=advance.dt_s,
-            n_substeps=advance.n_substeps,
-            settle_residual_c=advance.settle_residual_c,
-            period_peak_case_c=advance.period_peak_case_c,
-            boundary_refreshed=advance.boundary_refreshed,
-        )
-
-    def advance_mapping(
-        self,
-        benchmark: BenchmarkCharacteristics,
-        mapping: WorkloadMapping,
-        dt_s: float,
-        *,
-        mapper: ThreadMapper | None = None,
-        water_loop: WaterLoop | None = None,
-        activity_factor: float = 1.0,
-        n_substeps: int = 1,
-        force_boundary_refresh: bool = False,
-    ) -> TransientStepResult:
-        """One transient control period for a resolved workload mapping."""
-        mapper = self._mapper(mapper)
-        activities = mapper.activities(benchmark, mapping, activity_factor=activity_factor)
-        return self.advance_activities(
-            activities,
-            mapping.configuration.frequency_ghz,
-            dt_s,
-            memory_intensity=benchmark.memory_intensity,
-            water_loop=water_loop,
-            n_substeps=n_substeps,
-            force_boundary_refresh=force_boundary_refresh,
             benchmark_name=benchmark.name,
             configuration=mapping.configuration,
             mapping=mapping,

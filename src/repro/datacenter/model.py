@@ -1077,7 +1077,11 @@ class DatacenterSession:
     ) -> DatacenterTrace:
         """Run the floor from a cold start and assemble the trace.
 
-        With ``supervisory`` the slow loop decides every
+        The run length (``duration_s``, or the model's longest trace when
+        omitted) must be a whole number of control periods, to a relative
+        tolerance of 1e-9; anything else raises :class:`ConfigurationError`
+        rather than silently running a longer final period.  With
+        ``supervisory`` the slow loop decides every
         ``supervisory.period_s`` (which must be an integer multiple of the
         fast control period); its setpoint moves take effect from the next
         control period.  A controller exposing a callable ``plan``
@@ -1095,6 +1099,12 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         model = self.model
         duration = duration_s if duration_s is not None else model.duration_s
         check_positive(duration, "duration_s")
+        n_periods = round(duration / model.control_period_s)
+        if abs(n_periods * model.control_period_s - duration) > 1e-9 * duration:
+            raise ConfigurationError(
+                f"run length duration_s={duration} s is not a whole number of "
+                f"control periods of {model.control_period_s} s"
+            )
         periods_per_window = 0
         if supervisory is not None:
             ratio = supervisory.period_s / model.control_period_s

@@ -11,7 +11,8 @@ from repro.baselines.sabry_inlet_first import SabryInletFirstMapping
 from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.config_selection import QoSAwareConfigSelector
 from repro.core.mapping_policies import MappingPolicy, ProposedThermalAwareMapping
-from repro.core.pipeline import CooledServerSimulation, EvaluationResult
+from repro.core.pipeline import CooledServerSimulation
+from repro.core.session import EvaluationResult
 from repro.exceptions import ConfigurationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan

@@ -3,9 +3,11 @@
 Not a figure of the paper itself, but the runtime companion of its Section
 VII controller discussion: the same flow-rate-first/DVFS-second controller
 is played over a phased PARSEC trace twice, once re-solving steady state
-every control period (the quasi-static study) and once advancing the
-simulation session's warm-start temperature field with cached backward-
-Euler steps (``mode="transient"``).  The report compares the control
+every control period (the quasi-static study) and once advancing a
+warm-start temperature field with cached backward-Euler steps
+(``mode="transient"``, a one-server run of the
+:class:`~repro.datacenter.floor.FloorEngine` that also drives racks and
+floors).  The report compares the control
 behaviour (actions, peak temperatures) — which must stay close — and the
 cost: operator factorizations and wall time, where the transient lane is
 the one that scales to long traces.

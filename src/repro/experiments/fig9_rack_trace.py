@@ -3,8 +3,9 @@
 The rack companion of the fig8 controller study and of Section V's
 rack-level evaluation: the same flow-rate-first/DVFS-second controller
 drives a homogeneous rack over a phased PARSEC trace twice — once as
-independent per-server transient traces (each server its own simulation,
-operator factorizations and lane marches), and once as a one-rack
+independent per-server transient traces (each server a one-server floor on
+its own simulation, paying its own operator factorizations and lane
+marches), and once as a one-rack
 :class:`~repro.datacenter.floor.FloorEngine` floor, where every server
 sharing a cooling boundary advances through one cached factorization per
 substep via multi-column back-substitution.  The decisions are identical by

@@ -248,7 +248,7 @@ class ThermalSimulator:
     ) -> np.ndarray:
         """One backward-Euler step for many fields at one shared boundary.
 
-        The rack-engine counterpart of :meth:`transient_step_from_map`:
+        The floor-engine counterpart of :meth:`transient_step_from_map`:
         ``temperatures`` is ``(k, n_cells)``, ``power_maps_w`` is
         ``(k, n_rows, n_columns)``, and all ``k`` fields advance through one
         cached operator in a single multi-column back-substitution.
@@ -270,10 +270,11 @@ class ThermalSimulator:
         """One backward-Euler step from an explicit temperature field.
 
         ``temperatures`` may be flat or shaped ``(n_layers, n_rows,
-        n_columns)``; the advanced field is returned flat.  Used by the
-        warm-start :class:`repro.core.session.SimulationSession` to carry
-        the field across control periods; at a fixed ``(cooling, dt_s)``
-        every call is a single cached back-substitution.
+        n_columns)``; the advanced field is returned flat.  At a fixed
+        ``(cooling, dt_s)`` every call is a single cached back-substitution.
+        The production engines advance fields through
+        :meth:`transient_step_many_from_maps`; this single-field step serves
+        the golden single-server lane kept in the test suite.
         """
         flat = np.asarray(temperatures, dtype=float).ravel()
         return self._transient_solver.step(

@@ -3,7 +3,7 @@
 Hypothesis sweeps the input spaces the example-based suites only spot
 check:
 
-* :func:`~repro.core.session.adaptive_refresh_tol` never loosens beyond
+* :func:`~repro.core.rack_session.adaptive_refresh_tol` never loosens beyond
   the configured tolerance, is monotone non-increasing in the residual,
   and collapses to the configured tolerance at or below the reference
   residual (and always in static mode);
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.session import adaptive_refresh_tol
+from repro.core.rack_session import adaptive_refresh_tol
 from repro.workloads.trace import PhasedTrace, TracePhase
 
 finite_tols = st.floats(min_value=1e-6, max_value=1e3)

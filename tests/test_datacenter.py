@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
-from repro.core.pipeline import CooledServerSimulation, T_CASE_MAX_C
+from repro.core.pipeline import CooledServerSimulation
+from repro.core.session import T_CASE_MAX_C
 from repro.core.runtime_controller import RackServer, ThermosyphonController
 from repro.datacenter.model import DatacenterModel, RackSpec
 from repro.datacenter.scenarios import (
@@ -248,6 +249,22 @@ class TestDatacenterValidation:
         server = RackServer(x264, _mapping(floorplan, x264), QoSConstraint(2.0))
         with pytest.raises(ConfigurationError):
             DatacenterModel([RackSpec(name="r0", servers=(server,))])
+
+    def test_partial_final_period_rejected_naming_both_values(
+        self, floorplan, power_model
+    ):
+        """A partial final period is refused, not silently run to the next period."""
+        scenario = build_scenario(
+            "diurnal", n_racks=1, servers_per_rack=1, duration_s=5.0,
+            seed=1, floorplan=floorplan,
+        )
+        floor = _floor(scenario, floorplan, power_model)
+        assert floor.duration_s == 5.0
+        with pytest.raises(ConfigurationError, match=r"5\.0 s.*2\.0 s"):
+            floor.run_trace()  # the default length: the longest trace
+        with pytest.raises(ConfigurationError, match=r"3\.0 s.*2\.0 s"):
+            floor.session().run(duration_s=3.0)
+        assert floor.run_trace(duration_s=4.0).n_periods == 2
 
     def test_non_multiple_supervisory_period_rejected(
         self, floorplan, power_model

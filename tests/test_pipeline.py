@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.pipeline import CooledServerSimulation, ThermalAwarePipeline, T_CASE_MAX_C
+from repro.core.pipeline import CooledServerSimulation, ThermalAwarePipeline
+from repro.core.session import T_CASE_MAX_C
 from repro.baselines.coskun_balancing import CoskunBalancingMapping
 from repro.power.power_model import CoreActivity
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN

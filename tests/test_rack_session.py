@@ -2,24 +2,33 @@
 
 The load-bearing guarantees: every batched layer (grouped operating points,
 stacked lane march, multi-column back-substitution) reproduces the
-per-server :class:`SimulationSession` to <= 1e-12 across homogeneous and
-heterogeneous slots — on the transient lane through a one-rack
-:class:`FloorEngine`, the only owner of rack temperature state; a rack
-trace reproduces the standalone rack lane (``reference_rack_lane.py``) bit
-for bit; the session-backed :class:`RackModel` matches the old
-:class:`BatchEvaluator` path exactly; and the batched engine actually pays
-fewer factorizations — one per distinct cooling boundary instead of one per
-server, asserted through merged :class:`CacheStats`.
+per-server :class:`SimulationSession` steady lane and the single-server
+golden transient lane (``reference_server_lane.py``) to <= 1e-12 across
+homogeneous and heterogeneous slots — on the transient lane through a
+one-rack :class:`FloorEngine`, the only owner of server, rack and floor
+temperature state; a rack trace reproduces the standalone rack lane
+(``reference_rack_lane.py``) bit for bit; the session-backed
+:class:`RackModel` matches a :class:`BatchEvaluator` exactly; and the
+batched engine actually pays fewer factorizations — one per distinct
+cooling boundary instead of one per server, asserted through merged
+:class:`CacheStats`.  ``TestOneServerFloor`` holds the single-server
+transient behaviour (steady initialization, warm start, refresh policy) on
+a one-server floor.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
-from repro.core.rack import RackModel, ServerSlot
+from repro.core.rack import RackModel, RackResult, ServerSlot
 from repro.core.rack_session import RackSession, ServerLoad
-from repro.core.runtime_controller import RackServer, ThermosyphonController
+from repro.core.runtime_controller import (
+    ControllerAction,
+    RackServer,
+    ThermosyphonController,
+)
 from repro.core.session import SimulationSession
 from repro.core.pipeline import CooledServerSimulation
 from repro.datacenter.floor import FloorEngine
@@ -31,8 +40,10 @@ from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
+from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.trace import PhasedTrace, TracePhase
 from reference_rack_lane import ReferenceRackLane, run_rack_period
+from reference_server_lane import ReferenceServerLane, reference_run_trace
 
 CELL_SIZE_MM = 2.5
 #: A case limit the jittered test trace crosses, so valves act.
@@ -79,6 +90,15 @@ def _one_rack_floor(floorplan, power_model, n_servers, **kwargs):
 def _golden_session(floorplan, power_model):
     """A fresh independent per-server pipeline (its own simulator and cache)."""
     return SimulationSession(
+        floorplan,
+        power_model=power_model,
+        thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
+    )
+
+
+def _golden_lane(floorplan, power_model):
+    """A fresh single-server golden transient lane (its own simulator)."""
+    return ReferenceServerLane(
         floorplan,
         power_model=power_model,
         thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
@@ -231,6 +251,37 @@ class TestCacheStatsMerge:
         assert sum(stats) == merged
 
 
+class _BatchRackModel(RackModel):
+    """A rack whose every slot is evaluated through a :class:`BatchEvaluator`.
+
+    The per-slot pipeline path the session engine must reproduce: one
+    ``evaluate_many`` over the slots, sharing the rack's simulation and
+    pipeline, then the same chiller accounting.
+    """
+
+    def evaluate(self, water_inlet_temperature_c):
+        water_loop = WaterLoop(
+            inlet_temperature_c=water_inlet_temperature_c,
+            flow_rate_kg_h=self.design.water_flow_rate_kg_h,
+        )
+        points = [
+            SweepPoint(
+                benchmark=slot.benchmark, constraint=slot.constraint, water_loop=water_loop
+            )
+            for slot in self.slots
+        ]
+        evaluator = BatchEvaluator(self._simulation, pipeline=self._pipeline)
+        results = evaluator.evaluate_many(points)
+        return RackResult(
+            water_inlet_temperature_c=water_inlet_temperature_c,
+            server_results=results,
+            chiller_power_w=sum(
+                self.chiller.cooling_power_w(result.water_loop, result.package_power_w)
+                for result in results
+            ),
+        )
+
+
 class TestRackModelParity:
     @pytest.fixture(scope="class")
     def slots(self):
@@ -242,11 +293,30 @@ class TestRackModelParity:
 
     def test_evaluate_matches_batch_engine(self, slots):
         session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
         ours = session_rack.evaluate(28.0)
-        theirs = batch_rack.evaluate(28.0)
-        assert ours.chiller_power_w == pytest.approx(theirs.chiller_power_w, abs=1e-9)
-        for a, b in zip(ours.server_results, theirs.server_results):
+        evaluator = BatchEvaluator(CooledServerSimulation(cell_size_mm=CELL_SIZE_MM))
+        water_loop = WaterLoop(
+            inlet_temperature_c=28.0,
+            flow_rate_kg_h=PAPER_OPTIMIZED_DESIGN.water_flow_rate_kg_h,
+        )
+        theirs = evaluator.evaluate_many(
+            [
+                SweepPoint(
+                    benchmark=slot.benchmark,
+                    constraint=slot.constraint,
+                    water_loop=water_loop,
+                )
+                for slot in slots
+            ]
+        )
+        assert ours.chiller_power_w == pytest.approx(
+            sum(
+                session_rack.chiller.cooling_power_w(r.water_loop, r.package_power_w)
+                for r in theirs
+            ),
+            abs=1e-9,
+        )
+        for a, b in zip(ours.server_results, theirs):
             assert a.case_temperature_c == pytest.approx(b.case_temperature_c, abs=1e-12)
             assert a.die_metrics.theta_max_c == pytest.approx(
                 b.die_metrics.theta_max_c, abs=1e-12
@@ -254,9 +324,9 @@ class TestRackModelParity:
             assert a.package_power_w == pytest.approx(b.package_power_w, abs=1e-12)
 
     def test_water_temperature_search_parity(self, slots):
-        """Bisection through the session engine lands where the old path did."""
+        """Bisection through the session engine lands where the batch path does."""
         session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
+        batch_rack = _BatchRackModel(slots, cell_size_mm=CELL_SIZE_MM)
         ours = session_rack.warmest_feasible_water_temperature(
             low_c=15.0, high_c=40.0, tolerance_c=2.0
         )
@@ -272,7 +342,7 @@ class TestRackModelParity:
 
     def test_hot_spot_search_parity(self, slots):
         session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
+        batch_rack = _BatchRackModel(slots, cell_size_mm=CELL_SIZE_MM)
         nominal = session_rack.evaluate(30.0)
         target = nominal.worst_die_hot_spot_c - 3.0
         ours = session_rack.water_temperature_for_hot_spot(
@@ -285,18 +355,14 @@ class TestRackModelParity:
             theirs.water_inlet_temperature_c, abs=1e-12
         )
 
-    def test_invalid_engine_rejected(self, slots):
-        with pytest.raises(ConfigurationError):
-            RackModel(slots, engine="warp-drive")
-
 
 class TestTransientLane:
     def test_advance_matches_per_server_sessions(self, floorplan, power_model, x264, canneal):
-        """A short jittered rack trace advances exactly like golden sessions."""
+        """A short jittered rack trace advances exactly like golden lanes."""
         benchmarks = [x264, x264, canneal]
         mappings = [_mapping(floorplan, bench) for bench in benchmarks]
         rack = _one_rack_floor(floorplan, power_model, 3)
-        golden = [_golden_session(floorplan, power_model) for _ in benchmarks]
+        golden = [_golden_lane(floorplan, power_model) for _ in benchmarks]
 
         for activity in (1.0, 0.97, 1.02, 0.95):
             loads = [
@@ -415,7 +481,7 @@ class TestRackTrace:
         assert record.n_servers == n_servers
         assert record.factorizations is not None
 
-        # Golden: the same trace on independent per-server simulations.
+        # Golden: the same trace on independent single-server golden lanes.
         golden_factorizations = 0
         for _ in range(n_servers):
             golden_sim = CooledServerSimulation(
@@ -428,8 +494,8 @@ class TestRackTrace:
             golden_controller = ThermosyphonController(
                 golden_sim, control_period_s=2.0, relax_margin_c=100.0
             )
-            golden_record = golden_controller.run_trace(
-                x264, mapping, QoSConstraint(2.0), jittered_trace, mode="transient"
+            golden_record = reference_run_trace(
+                golden_controller, x264, mapping, QoSConstraint(2.0), jittered_trace
             )
             golden_factorizations += golden_record.factorizations
         assert golden_factorizations >= n_servers * record.factorizations
@@ -547,62 +613,194 @@ class TestRackTrace:
             controller.run_rack_trace(servers, None)
 
 
-class TestBoundaryRefreshPolicyPlumbing:
-    def test_controller_overrides_session_tolerance(self, floorplan, power_model, x264):
+class TestOneServerFloor:
+    """A single server's transient behaviour, on a one-server floor.
+
+    The floor engine owns the temperature field of every server; a
+    single-server controller trace is a one-server rack of it.
+    """
+
+    @staticmethod
+    def _loads(benchmark, mapping, activity_factor=1.0, water_loop=None):
+        return [
+            ServerLoad(
+                benchmark=benchmark,
+                mapping=mapping,
+                activity_factor=activity_factor,
+                water_loop=water_loop,
+            )
+        ]
+
+    def test_first_advance_initializes_from_steady(self, floorplan, power_model, x264):
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        steady = floor.session.solve_steady(loads)[0]
+        step = floor.advance(loads, dt_s=2.0).servers[0]
+        # Initialized at equilibrium for this power, the field barely moves.
+        assert step.settle_residual_c < 0.05
+        assert step.result.case_temperature_c == pytest.approx(
+            steady.case_temperature_c, abs=0.2
+        )
+
+    def test_warm_start_converges_to_new_steady(self, floorplan, power_model, x264):
+        """After a power step, repeated advances approach the new equilibrium."""
         mapping = _mapping(floorplan, x264)
-        simulation = CooledServerSimulation(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        floor.advance(self._loads(x264, mapping, 0.5), dt_s=2.0)  # settle low
+        high = self._loads(x264, mapping, 1.0)
+        target = floor.session.solve_steady(high)[0]
+        residuals = []
+        step = None
+        for _ in range(60):
+            step = floor.advance(high, dt_s=2.0).servers[0]
+            residuals.append(step.settle_residual_c)
+        # Residual decays as the field settles...
+        assert residuals[-1] < residuals[0]
+        assert residuals[-1] < 0.01
+        # ...towards the steady solution at the new power.
+        assert step.result.case_temperature_c == pytest.approx(
+            target.case_temperature_c, abs=0.5
         )
-        controller = ThermosyphonController(
-            simulation, boundary_refresh_tol=0.01, adaptive_boundary_refresh=True
+
+    def test_substeps_share_one_operator(self, floorplan, power_model, x264):
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        floor.advance(loads, dt_s=2.0, n_substeps=4)
+        misses_before = floor.session.cache_stats().misses
+        floor.advance(loads, dt_s=2.0, n_substeps=4)
+        # All substeps at the held boundary are cache hits.
+        assert floor.session.cache_stats().misses == misses_before
+
+    def test_period_peak_tracks_overshoot(self, floorplan, power_model, x264):
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        step = floor.advance(loads, dt_s=4.0, n_substeps=4).servers[0]
+        assert step.period_peak_case_c >= step.result.case_temperature_c - 1e-9
+
+    def test_rejects_bad_substeps(self, floorplan, power_model, x264):
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        with pytest.raises(ValueError):
+            floor.advance(loads, dt_s=2.0, n_substeps=0)
+
+    def test_large_power_drift_refreshes(self, floorplan, power_model, x264):
+        mapping = _mapping(floorplan, x264)
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        floor.advance(self._loads(x264, mapping, 0.5), dt_s=2.0)
+        held_before = floor.session.held_boundaries()[0].total_power_w
+        # Activity 0.5 -> 1.0 drifts the power far beyond the 15% tolerance.
+        step = floor.advance(self._loads(x264, mapping, 1.0), dt_s=2.0).servers[0]
+        assert step.boundary_refreshed
+        assert floor.session.held_boundaries()[0].total_power_w > 1.15 * held_before
+
+    def test_water_loop_change_refreshes(self, floorplan, power_model, x264):
+        mapping = _mapping(floorplan, x264)
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loop = PAPER_OPTIMIZED_DESIGN.water_loop()
+        floor.advance(self._loads(x264, mapping, water_loop=loop), dt_s=2.0)
+        step = floor.advance(
+            self._loads(x264, mapping, water_loop=loop.with_flow_rate(12.0)), dt_s=2.0
+        ).servers[0]
+        assert step.boundary_refreshed
+
+    def test_refreshed_boundary_matches_steady_build(self, floorplan, power_model, x264):
+        """The held boundary is exactly what the steady path would build."""
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        floor.advance(loads, dt_s=2.0)
+        session = floor.session
+        _, power_maps, _ = session._evaluate_power(loads)
+        fresh = session.loop.cooling_boundary(
+            power_maps[0], session.thermal_simulator.grid.cell_pitch_mm()
         )
-        phases = (TracePhase(2.0, 1.0, 0.5), TracePhase(2.0, 0.95, 0.5))
-        controller.run_trace(
-            x264,
-            mapping,
-            QoSConstraint(2.0),
-            PhasedTrace("short", phases),
-            mode="transient",
+        np.testing.assert_allclose(
+            session.held_boundaries()[0].boundary_result.boundary.htc_w_m2k,
+            fresh.boundary.htc_w_m2k,
         )
-        assert simulation.session.boundary_refresh_tol == pytest.approx(0.01)
-        assert simulation.session.adaptive_boundary_refresh is True
+
+    def test_advance_result_fields(self, floorplan, power_model, x264):
+        mapping = _mapping(floorplan, x264)
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        advance = floor.advance(self._loads(x264, mapping), dt_s=2.0, n_substeps=3)
+        assert advance.n_substeps == 3
+        assert advance.dt_s == pytest.approx(2.0)
+        step = advance.servers[0]
+        assert step.result.benchmark_name == x264.name
+        assert step.result.mapping is mapping
+        assert step.settle_residual_c >= 0.0
+        assert np.isfinite(step.period_peak_case_c)
+
+    def test_transient_tracks_steady_for_constant_load(
+        self, floorplan, power_model, x264
+    ):
+        """At a constant phase the transient lane sits on the steady answer."""
+        floor = _one_rack_floor(floorplan, power_model, 1)
+        loads = self._loads(x264, _mapping(floorplan, x264))
+        steady = floor.session.solve_steady(loads)[0]
+        step = None
+        for _ in range(20):
+            step = floor.advance(loads, dt_s=2.0).servers[0]
+        assert step.result.case_temperature_c == pytest.approx(
+            steady.case_temperature_c, abs=0.3
+        )
+        assert step.result.package_power_w == pytest.approx(steady.package_power_w)
+
+
+class TestBoundaryRefreshPolicyPlumbing:
+    def test_controller_overrides_refresh_tolerance(self, floorplan, power_model, x264):
+        """A tight controller tolerance refreshes on jitter the default holds."""
+        mapping = _mapping(floorplan, x264)
+        phases = tuple(
+            TracePhase(2.0, activity, 0.5) for activity in (1.0, 0.95, 0.9, 0.95)
+        )
+        trace = PhasedTrace("short", phases)
+
+        def run(**policy):
+            simulation = CooledServerSimulation(
+                floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(
+                    floorplan, cell_size_mm=CELL_SIZE_MM
+                ),
+            )
+            # A huge relax margin keeps the valve still: every refresh
+            # comes from the power-drift policy, none from an actuator.
+            controller = ThermosyphonController(
+                simulation, relax_margin_c=100.0, **policy
+            )
+            return controller.run_trace(
+                x264, mapping, QoSConstraint(2.0), trace, mode="transient"
+            )
+
+        default = run()
+        tight = run(boundary_refresh_tol=0.01, adaptive_boundary_refresh=True)
+        assert all(d.action is ControllerAction.NONE for d in default.decisions)
+        assert tight.factorizations > default.factorizations
 
     def test_adaptive_mode_tightens_tolerance_mid_transient(
         self, floorplan, power_model, x264
     ):
         """A large settle residual shrinks the effective refresh tolerance."""
         mapping = _mapping(floorplan, x264)
-        session = SimulationSession(
+        floor = _one_rack_floor(
             floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
+            power_model,
+            1,
             boundary_refresh_tol=0.15,
             adaptive_boundary_refresh=True,
             adaptive_residual_reference_c=0.5,
         )
-        mapper = ThreadMapper(floorplan, orientation=session.design.orientation)
-        activities = mapper.activities(x264, mapping, activity_factor=0.4)
-        breakdown = session.power_model.evaluate(
-            activities, 3.2, memory_intensity=x264.memory_intensity
-        )
-        low_power = session.thermal_simulator.power_map(breakdown.component_power_w)
-        session.advance(low_power, dt_s=2.0)  # settled at the low point
-        assert session.effective_boundary_refresh_tol() == pytest.approx(0.15)
+        load = ServerLoad(benchmark=x264, mapping=mapping, activity_factor=0.4)
+        floor.advance([load], dt_s=2.0)  # settled at the low point
+        assert floor.session._effective_refresh_tol(0) == pytest.approx(0.15)
         # A big power step leaves the field far from equilibrium...
-        session.advance(low_power * 2.0, dt_s=0.05)
+        floor.advance([ServerLoad(benchmark=x264, mapping=mapping)], dt_s=0.05)
         # ...so the adaptive tolerance tightens below the static setting.
-        assert session.effective_boundary_refresh_tol() < 0.15
+        assert floor.session._effective_refresh_tol(0) < 0.15
 
-    def test_static_mode_keeps_tolerance(self, floorplan, power_model, x264):
-        session = SimulationSession(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-            boundary_refresh_tol=0.2,
-        )
-        assert session.effective_boundary_refresh_tol() == pytest.approx(0.2)
+    def test_static_mode_keeps_tolerance(self, floorplan, power_model):
+        session = _rack_session(floorplan, power_model, 1, boundary_refresh_tol=0.2)
+        assert session._effective_refresh_tol(0) == pytest.approx(0.2)
 
     def test_zero_tolerance_accepted_by_controller(self, floorplan, power_model):
         """tol=0.0 (refresh every period) is a legitimate ablation setting."""

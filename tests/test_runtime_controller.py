@@ -1,5 +1,7 @@
 """Runtime thermosyphon controller tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.mapping import ThreadMapper
@@ -7,6 +9,7 @@ from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.pipeline import CooledServerSimulation
 from repro.core.runtime_controller import (
     ControllerAction,
+    ControllerDecision,
     ThermosyphonController,
 )
 from repro.thermal.simulator import ThermalSimulator
@@ -14,6 +17,7 @@ from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import PhasedTrace, TracePhase
+from reference_server_lane import reference_run_trace
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +286,106 @@ class TestTransientMode:
         assert steady.factorizations >= 25
         # ...while the transient path runs on a handful of operators.
         assert transient.factorizations * 10 <= steady.factorizations
+
+
+#: Low activity, a long high-activity step, low again: with a 65 degC limit
+#: the valve closes on the cool stretches and opens on the step.
+_STEP_ACTIVITIES = (0.3,) * 4 + (1.0,) * 8 + (0.3,) * 4
+_SATURATED_LOOP = PAPER_OPTIMIZED_DESIGN.water_loop().with_flow_rate(1000.0)
+
+#: case -> (activities, controller options, QoS factor, initial water loop,
+#: actions the trace must fire).
+_REFERENCE_CASES = {
+    "valve_both_ways": (
+        _STEP_ACTIVITIES,
+        {"t_case_max_c": 65.0},
+        2.0,
+        None,
+        {ControllerAction.INCREASE_FLOW, ControllerAction.DECREASE_FLOW},
+    ),
+    "qos_blocked_emergency": (
+        _STEP_ACTIVITIES,
+        {"t_case_max_c": 40.0},
+        1.0,
+        _SATURATED_LOOP,
+        {ControllerAction.EMERGENCY},
+    ),
+    "dvfs_then_emergency": (
+        _STEP_ACTIVITIES,
+        {"t_case_max_c": 40.0},
+        3.0,
+        _SATURATED_LOOP,
+        {ControllerAction.LOWER_FREQUENCY, ControllerAction.EMERGENCY},
+    ),
+    "adaptive_refresh": (
+        tuple(0.9 + 0.004 * index for index in range(12)),
+        {"boundary_refresh_tol": 0.01, "adaptive_boundary_refresh": True},
+        2.0,
+        None,
+        set(),
+    ),
+}
+
+
+class TestTransientMatchesReferenceLane:
+    """``run_trace(mode="transient")`` == the single-server golden lane, bitwise.
+
+    Transient single-server traces run on a one-server floor engine; the
+    retired single-server warm-start lane lives on as
+    ``tests/reference_server_lane.py``.  Every decision field and the
+    factorization count must match with ``==`` — no tolerance.
+    """
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_decisions_and_factorizations_identical(
+        self, floorplan, power_model, x264, mapping, case
+    ):
+        activities, options, qos, initial_loop, required = _REFERENCE_CASES[case]
+        trace = PhasedTrace(
+            case, tuple(TracePhase(2.0, activity, 0.5) for activity in activities)
+        )
+
+        def run(driver):
+            simulation = CooledServerSimulation(
+                floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.5),
+            )
+            controller = ThermosyphonController(
+                simulation, control_period_s=2.0, **options
+            )
+            return driver(controller)
+
+        ours = run(
+            lambda controller: controller.run_trace(
+                x264,
+                mapping,
+                QoSConstraint(qos),
+                trace,
+                mode="transient",
+                initial_water_loop=initial_loop,
+                transient_substeps=3,
+            )
+        )
+        golden = run(
+            lambda controller: reference_run_trace(
+                controller,
+                x264,
+                mapping,
+                QoSConstraint(qos),
+                trace,
+                initial_water_loop=initial_loop,
+                transient_substeps=3,
+            )
+        )
+
+        assert ours.mode == golden.mode == "transient"
+        assert ours.factorizations == golden.factorizations
+        assert len(ours.decisions) == len(golden.decisions) == len(activities)
+        for a, b in zip(ours.decisions, golden.decisions):
+            for field in dataclasses.fields(ControllerDecision):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+        assert required <= {decision.action for decision in ours.decisions}
 
 
 class TestDecisionDispatch:

@@ -1,6 +1,9 @@
-"""SimulationSession tests: steady lane, warm-start advance, boundary policy."""
+"""SimulationSession tests: the steady lane and its facade.
 
-import numpy as np
+The session keeps no transient state; the single-server transient checks
+run on a one-server floor in ``tests/test_rack_session.py``.
+"""
+
 import pytest
 
 from repro.core.mapping import ThreadMapper
@@ -27,15 +30,6 @@ def mapping(floorplan, x264):
     return mapper.map(x264, Configuration(8, 2, 3.2), ProposedThermalAwareMapping())
 
 
-def _power_map(session, x264, mapping, activity_factor=1.0):
-    mapper = ThreadMapper(session.floorplan, orientation=session.design.orientation)
-    activities = mapper.activities(x264, mapping, activity_factor=activity_factor)
-    breakdown = session.power_model.evaluate(
-        activities, mapping.configuration.frequency_ghz, memory_intensity=x264.memory_intensity
-    )
-    return session.thermal_simulator.power_map(breakdown.component_power_w)
-
-
 class TestSteadyLane:
     def test_facade_delegates_to_session(self, floorplan, power_model, coarse_thermal_simulator, x264, mapping):
         simulation = CooledServerSimulation(
@@ -56,147 +50,3 @@ class TestSteadyLane:
         assert result.mapping is mapping
         assert result.configuration is mapping.configuration
         assert result.benchmark_name == x264.name
-
-
-class TestAdvance:
-    def test_first_advance_initializes_from_steady(self, session, x264, mapping):
-        session.reset()
-        assert session.temperatures is None
-        power = _power_map(session, x264, mapping)
-        steady = session.thermal_simulator.steady_state_from_map(
-            power,
-            session.loop.cooling_boundary(
-                power, session.thermal_simulator.grid.cell_pitch_mm()
-            ).boundary,
-        )
-        step = session.advance(power, dt_s=2.0)
-        # Initialized at equilibrium for this power, the field barely moves.
-        assert step.settle_residual_c < 0.05
-        assert step.thermal_result.case_temperature_c() == pytest.approx(
-            steady.case_temperature_c(), abs=0.2
-        )
-        assert session.temperatures is not None
-
-    def test_warm_start_converges_to_new_steady(self, session, x264, mapping):
-        """After a power step, repeated advances approach the new equilibrium."""
-        session.reset()
-        low_power = _power_map(session, x264, mapping, activity_factor=0.5)
-        high_power = _power_map(session, x264, mapping, activity_factor=1.0)
-        session.advance(low_power, dt_s=2.0)  # initialize at the low point
-        boundary = session.loop.cooling_boundary(
-            high_power, session.thermal_simulator.grid.cell_pitch_mm()
-        ).boundary
-        target = session.thermal_simulator.steady_state_from_map(high_power, boundary)
-
-        residuals = []
-        step = None
-        for _ in range(60):
-            step = session.advance(high_power, dt_s=2.0, force_boundary_refresh=False)
-            residuals.append(step.settle_residual_c)
-        assert step is not None
-        # Residual decays as the field settles...
-        assert residuals[-1] < residuals[0]
-        assert residuals[-1] < 0.01
-        # ...towards the steady solution at the new power.
-        assert step.thermal_result.case_temperature_c() == pytest.approx(
-            target.case_temperature_c(), abs=0.5
-        )
-
-    def test_substeps_share_one_operator(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        cache = session.thermal_simulator.solver_cache
-        session.advance(power, dt_s=2.0, n_substeps=4)
-        misses_before = cache.stats.misses
-        session.advance(power, dt_s=2.0, n_substeps=4)
-        assert cache.stats.misses == misses_before  # all substeps are cache hits
-
-    def test_period_peak_tracks_overshoot(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        step = session.advance(power, dt_s=4.0, n_substeps=4)
-        assert step.period_peak_case_c >= step.thermal_result.case_temperature_c() - 1e-9
-
-    def test_reset_forgets_state(self, session, x264, mapping):
-        power = _power_map(session, x264, mapping)
-        session.advance(power, dt_s=2.0)
-        session.reset()
-        assert session.temperatures is None
-        assert session.boundary_state_age_power_w is None
-
-    def test_rejects_bad_substeps(self, session, x264, mapping):
-        power = _power_map(session, x264, mapping)
-        with pytest.raises(Exception):
-            session.advance(power, dt_s=2.0, n_substeps=0)
-
-
-class TestBoundaryRefreshPolicy:
-    def test_small_power_drift_holds_boundary(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        first = session.advance(power, dt_s=2.0)
-        assert first.boundary_refreshed
-        jittered = power * 1.02  # 2% drift, below the default 15% tolerance
-        second = session.advance(jittered, dt_s=2.0)
-        assert not second.boundary_refreshed
-        assert session.boundary_state_age_power_w == pytest.approx(float(power.sum()))
-
-    def test_large_power_drift_refreshes(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        session.advance(power, dt_s=2.0)
-        step = session.advance(power * 1.5, dt_s=2.0)
-        assert step.boundary_refreshed
-        assert session.boundary_state_age_power_w == pytest.approx(float(power.sum()) * 1.5)
-
-    def test_water_loop_change_refreshes(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        loop_a = session.design.water_loop()
-        session.advance(power, loop_a, dt_s=2.0)
-        step = session.advance(power, loop_a.with_flow_rate(12.0), dt_s=2.0)
-        assert step.boundary_refreshed
-
-    def test_force_refresh_overrides_tolerance(self, session, x264, mapping):
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        session.advance(power, dt_s=2.0)
-        step = session.advance(power, dt_s=2.0, force_boundary_refresh=True)
-        assert step.boundary_refreshed
-
-    def test_refreshed_boundary_matches_steady_build(self, session, x264, mapping):
-        """The held boundary is exactly what the steady path would build."""
-        session.reset()
-        power = _power_map(session, x264, mapping)
-        step = session.advance(power, dt_s=2.0)
-        fresh = session.loop.cooling_boundary(
-            power, session.thermal_simulator.grid.cell_pitch_mm()
-        )
-        np.testing.assert_allclose(
-            step.boundary_result.boundary.htc_w_m2k, fresh.boundary.htc_w_m2k
-        )
-
-
-class TestAdvanceMapping:
-    def test_transient_step_result_fields(self, session, x264, mapping):
-        session.reset()
-        step = session.advance_mapping(x264, mapping, 2.0, n_substeps=3)
-        assert step.n_substeps == 3
-        assert step.dt_s == pytest.approx(2.0)
-        assert step.result.benchmark_name == x264.name
-        assert step.result.mapping is mapping
-        assert step.settle_residual_c >= 0.0
-        assert np.isfinite(step.period_peak_case_c)
-
-    def test_transient_tracks_steady_for_constant_load(self, session, x264, mapping):
-        """At a constant phase the transient lane sits on the steady answer."""
-        session.reset()
-        steady = session.solve_steady_mapping(x264, mapping)
-        step = None
-        for _ in range(20):
-            step = session.advance_mapping(x264, mapping, 2.0)
-        assert step is not None
-        assert step.result.case_temperature_c == pytest.approx(
-            steady.case_temperature_c, abs=0.3
-        )
-        assert step.result.package_power_w == pytest.approx(steady.package_power_w)
