@@ -58,7 +58,7 @@ from repro.core.rack_session import (
 )
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.obs.telemetry import get_telemetry
-from repro.thermal.rom import RomConfig, RomStats, build_reduced_operator
+from repro.thermal.rom import RomConfig, RomSpan, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
 
 __all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot", "FloorSpanAdvance"]
@@ -110,9 +110,9 @@ class FloorSpanAdvance:
     evaluates).  ``period_case_c[r]`` / ``period_peak_case_c[r]`` are
     ``(span, n_servers)`` arrays of per-period-end case temperatures and
     within-period peaks, reconstructed from the reduced-order readout (ROM
-    rows), the full substep march (fallback rows) or endpoint
-    interpolation (macro rows) — the per-period observability that lets a
-    coarse trace keep the fine lane's record shape.
+    rows) or the full substep march (fallback rows) — the per-period
+    observability that lets a coarse trace keep the fine lane's record
+    shape.
     ``period_worst_peak_c[j]`` is the floor-wide worst within-period peak
     of period ``j``.
     """
@@ -202,12 +202,11 @@ class FloorEngine:
         # eviction bounds it on long traces with ever-fresh loads.
         self._point_memo: dict[tuple, LoopOperatingPoint] = {}
         self._point_memo_max_entries = 4096
-        # Reduced-order lane (repro.thermal.rom): set ``rom_config`` to a
-        # RomConfig to let :meth:`advance_span` step quasi-steady spans in a
-        # Krylov subspace; leave None for pure macro-step coarsening.
-        # ``rom_stats`` accumulates the lane's decisions for the floor's
-        # lifetime — trace engines report deltas.
-        self.rom_config: RomConfig | None = None
+        # Reduced-order lane (repro.thermal.rom): ``rom_config`` sets the
+        # Krylov basis and error tolerances :meth:`advance_span` evaluates
+        # quasi-steady spans with.  ``rom_stats`` accumulates the lane's
+        # decisions for the floor's lifetime — trace engines report deltas.
+        self.rom_config = RomConfig()
         self.rom_stats = RomStats()
         if parallel_groups < 0:
             raise ConfigurationError(
@@ -497,26 +496,24 @@ class FloorEngine:
         the span is quasi-steady: loads are held, no actuator fired last
         period and every settle residual is below tolerance.  Under that
         contract the floor advances the whole span without per-period
-        decision evaluation, through one of three lanes per solve group:
+        decision evaluation, through one of two lanes per solve group:
 
-        * **ROM lane** (``rom_config`` set): step in the cached Krylov
-          subspace at the fine substep size — ``O(k^2)`` per substep plus
-          two ``(n, k)`` mat-vecs for the rigorous a-posteriori error
-          bound — lifting only the case-cell readout per substep and the
-          full field once at span end.
+        * **ROM lane**: evaluate the span in the cached Krylov subspace of
+          ``rom_config`` at the fine substep size, in closed form from the
+          operator's modal decomposition
+          (:meth:`~repro.thermal.rom.ReducedOperator.march_span`) — the
+          case-cell readout of every substep in one dense product, the
+          rigorous a-posteriori error bound sampled at three substeps, and
+          the full field lifted once at span end.
         * **Full fallback lane**: rows whose projection/error bound trips
           or whose lifted case temperature enters the ``t_case_max_c``
           guard band rerun the *entire* span at full fine resolution
           (identical physics to ``span`` calls of :meth:`advance`); the
           :class:`~repro.thermal.rom.RomStats` counters record why.
-        * **Macro lane** (``rom_config`` is None): one stacked
-          backward-Euler macro-step of ``n_substeps`` substeps at
-          ``span * dt_s / n_substeps`` each, with per-period observables
-          reconstructed by endpoint interpolation — the pure-coarsening
-          mode.
 
-        Requires a warm floor; cold starts must go through :meth:`advance`
-        first.
+        Requires a warm floor whose simulators all carry a solver cache (the
+        reduced operators live beside its LU factors); cold starts must go
+        through :meth:`advance` first.
         """
         if span < 1:
             raise ValueError(f"span must be >= 1, got {span}")
@@ -528,10 +525,16 @@ class FloorEngine:
                 self._prepare_period(rack_loads, force_boundary_refresh)
             )
 
-            # Warm check for every group *before* dispatching workers, so a
-            # cold floor raises deterministically (and no worker has started
-            # mutating group state when it does).
+            # Warm and cache checks for every group *before* dispatching
+            # workers, so a bad floor raises deterministically (and no worker
+            # has started mutating group state when it does).
             for group in self._groups:
+                if group.simulator.solver_cache is None:
+                    raise ConfigurationError(
+                        "advance_span requires thermal simulators with a "
+                        "solver cache (the reduced-order lane stores its "
+                        "operators there)"
+                    )
                 if group.fields is None:
                     raise ConfigurationError(
                         "advance_span requires a warm floor; advance at least "
@@ -788,7 +791,6 @@ class FloorEngine:
         # before dispatch.
         fields = group.fields
         sub_dt = dt_s / n_substeps
-        rom = self.rom_config if simulator.solver_cache is not None else None
         n = group.n_servers
         new_fields = np.empty_like(fields)
         case_hist = np.empty((span, n), dtype=float)
@@ -798,64 +800,48 @@ class FloorEngine:
         obs = get_telemetry()
         for rows in row_groups:
             boundary = group_boundaries[rows[0]].boundary
-            maps_rows = group_maps[rows]
-            state = fields[rows]
-            if rom is not None:
-                stats.spans += 1
+            stats.spans += 1
+            with obs.span("rom.march", group=group.index, rows=len(rows)) as march_span:
+                causes_before = (
+                    stats.fallback_projection,
+                    stats.fallback_error,
+                    stats.fallback_guard,
+                )
+                march = self._rom_march(
+                    group, boundary, group_maps[rows], fields[rows], sub_dt, span,
+                    n_substeps, t_case_max_c, self.rom_config, stats,
+                )
+                # The *why* of every row returned to the full solver:
+                # projection drift, error-bound trip, or guard band.
+                march_span.set(
+                    fallback_projection=stats.fallback_projection
+                    - causes_before[0],
+                    fallback_error=stats.fallback_error - causes_before[1],
+                    fallback_guard=stats.fallback_guard - causes_before[2],
+                )
+            ok = march.ok
+            fallback = [row for i, row in enumerate(rows) if not ok[i]]
+            kept = np.flatnonzero(ok)
+            kept_rows = [rows[i] for i in kept]
+            if kept_rows:
+                new_fields[kept_rows] = march.end_fields[kept]
+                case_hist[:, kept_rows] = march.case_hist[:, kept]
+                peak_hist[:, kept_rows] = march.peak_hist[:, kept]
+                residuals[kept_rows] = march.residuals[kept]
+            if fallback:
+                stats.fallback_rows += len(fallback)
                 with obs.span(
-                    "rom.march", group=group.index, rows=len(rows)
-                ) as march_span:
-                    causes_before = (
-                        stats.fallback_projection,
-                        stats.fallback_error,
-                        stats.fallback_guard,
-                    )
-                    ok, end, cases, peaks, res = self._rom_march(
-                        group, boundary, maps_rows, state, sub_dt, span,
-                        n_substeps, t_case_max_c, rom, stats,
-                    )
-                    # The *why* of every row returned to the full solver:
-                    # projection drift, error-bound trip, or guard band.
-                    march_span.set(
-                        fallback_projection=stats.fallback_projection
-                        - causes_before[0],
-                        fallback_error=stats.fallback_error - causes_before[1],
-                        fallback_guard=stats.fallback_guard - causes_before[2],
-                    )
-                fallback = [row for i, row in enumerate(rows) if not ok[i]]
-                kept = np.flatnonzero(ok)
-                kept_rows = [rows[i] for i in kept]
-                if kept_rows:
-                    new_fields[kept_rows] = end[kept]
-                    case_hist[:, kept_rows] = cases[:, kept]
-                    peak_hist[:, kept_rows] = peaks[:, kept]
-                    residuals[kept_rows] = res[kept]
-                if fallback:
-                    stats.fallback_rows += len(fallback)
-                    with obs.span(
-                        "rom.full_march", group=group.index, rows=len(fallback)
-                    ):
-                        f_end, f_cases, f_peaks, f_res = self._full_march(
-                            simulator, boundary, group_maps[fallback],
-                            fields[fallback], sub_dt, span, n_substeps,
-                            group.case_cell_index,
-                        )
-                    new_fields[fallback] = f_end
-                    case_hist[:, fallback] = f_cases
-                    peak_hist[:, fallback] = f_peaks
-                    residuals[fallback] = f_res
-            else:
-                with obs.span(
-                    "floor.macro_march", group=group.index, rows=len(rows)
+                    "rom.full_march", group=group.index, rows=len(fallback)
                 ):
-                    end, cases, peaks, res = self._macro_march(
-                        simulator, boundary, maps_rows, state, dt_s, span,
-                        n_substeps, group.case_cell_index,
+                    f_end, f_cases, f_peaks, f_res = self._full_march(
+                        simulator, boundary, group_maps[fallback],
+                        fields[fallback], sub_dt, span, n_substeps,
+                        group.case_cell_index,
                     )
-                new_fields[rows] = end
-                case_hist[:, rows] = cases
-                peak_hist[:, rows] = peaks
-                residuals[rows] = res
+                new_fields[fallback] = f_end
+                case_hist[:, fallback] = f_cases
+                peak_hist[:, fallback] = f_peaks
+                residuals[fallback] = f_res
 
         group.fields = new_fields
 
@@ -887,19 +873,18 @@ class FloorEngine:
         t_case_max_c: float | None,
         config: RomConfig,
         stats: RomStats,
-    ):
+    ) -> RomSpan:
         """March one solve group through the reduced space.
 
-        Returns ``(ok, end_fields, case_hist, peak_hist, residuals)``;
-        entries of rows with ``ok[i]`` False are unspecified — those rows
-        rerun through :meth:`_full_march`.  Fallback causes are counted on
+        Returns the group's :class:`~repro.thermal.rom.RomSpan`; entries of
+        rows with ``ok[i]`` False are unspecified — those rows rerun through
+        :meth:`_full_march`.  Fallback causes are counted on
         ``stats`` (a row can trip both the error and guard tests) — the
         caller's scratch counters under thread-parallel dispatch.
         """
         simulator = group.simulator
         cache = simulator.solver_cache
         network = simulator.network
-        m = state.shape[0]
         power_vecs = network.power_vectors(power_maps_rows)
         obs = get_telemetry()
 
@@ -928,62 +913,17 @@ class FloorEngine:
                 cache.store_reduced_operator(boundary, sub_dt, op, config)
                 stats.basis_rebuilds += 1
                 coords, entry_error = op.project(state)
-        ok = entry_error <= config.projection_tol_c
-        stats.fallback_projection += int(np.sum(~ok))
-
-        full_rhs = op.boundary_rhs[np.newaxis, :] + power_vecs
-        reduced_rhs = op.reduce_rhs(power_vecs)
-        affine = op.affine_term(reduced_rhs)
-        step_matrix = op.step_matrix
-        case_readout = op.basis[op.case_cell_index]
-        total_substeps = span * n_substeps
-        sampled_bound = np.zeros(m, dtype=float)
-        case_hist = np.empty((span, m), dtype=float)
-        peak_hist = np.empty((span, m), dtype=float)
-        previous_end = coords
-        step_index = 0
-        for j in range(span):
-            if j == span - 1:
-                previous_end = coords.copy()
-            peak = np.full(m, float("-inf"))
-            for _ in range(n_substeps):
-                new_coords = step_matrix @ coords + affine
-                if step_index in (0, total_substeps // 2, total_substeps - 1):
-                    # Power is held across the span, so the residual varies
-                    # smoothly along it: sampling the full-space bound at the
-                    # first, middle and last substep keeps every other step
-                    # free of O(n) work (the whole point of the reduced lane).
-                    np.maximum(
-                        sampled_bound,
-                        op.step_error_bound(new_coords, coords, full_rhs),
-                        out=sampled_bound,
-                    )
-                coords = new_coords
-                step_index += 1
-                case = case_readout @ coords
-                np.maximum(peak, case, out=peak)
-            case_hist[j] = case
-            peak_hist[j] = peak
-        error = entry_error + sampled_bound * total_substeps
-        error_fail = error > config.step_error_tol_c
-        guard_fail = np.zeros(m, dtype=bool)
-        if t_case_max_c is not None:
-            # Error-inflated proximity test: the ROM never arbitrates a
-            # constraint decision.
-            guard_fail = (
-                np.max(peak_hist, axis=0) + error
-                >= t_case_max_c - config.guard_band_c
-            )
-        stats.fallback_error += int(np.sum(error_fail & ok))
-        stats.fallback_guard += int(np.sum(guard_fail & ok))
-        ok &= ~(error_fail | guard_fail)
-        n_ok = int(np.sum(ok))
+        march = op.march_span(
+            coords, entry_error, power_vecs, span, n_substeps, t_case_max_c, config
+        )
+        projected = ~march.projection_fail
+        stats.fallback_projection += int(np.sum(march.projection_fail))
+        stats.fallback_error += int(np.sum(march.error_fail & projected))
+        stats.fallback_guard += int(np.sum(march.guard_fail & projected))
+        n_ok = int(np.sum(march.ok))
         stats.rom_rows += n_ok
         stats.rom_periods += n_ok * span
-
-        end_fields = op.lift(coords)
-        residuals = np.max(np.abs(op.lift(coords - previous_end)), axis=1)
-        return ok, end_fields, case_hist, peak_hist, residuals
+        return march
 
     def _full_march(
         self,
@@ -1018,46 +958,3 @@ class FloorEngine:
             case_hist[j] = state[:, case_cell_index]
             peak_hist[j] = peak
         return state, case_hist, peak_hist, residual
-
-    def _macro_march(
-        self,
-        simulator,
-        boundary,
-        maps_rows: np.ndarray,
-        state: np.ndarray,
-        dt_s: float,
-        span: int,
-        n_substeps: int,
-        case_cell_index: int,
-    ):
-        """Pure-coarsening lane: one backward-Euler macro-step for the span.
-
-        ``n_substeps`` substeps of ``span * dt_s / n_substeps`` each through
-        the cached factorization keyed by that macro substep size (spans are
-        dyadic, so the key variety stays within the LRU bound).  Per-period
-        case temperatures are endpoint-interpolated — admissible only under
-        the caller's quasi-steady contract — and the per-period residual
-        estimate conservatively divides the span's total movement by
-        ``span`` (not ``span * n_substeps``), so the planner reads a
-        *larger* residual than the fine lane would and drops back sooner.
-        """
-        entry_case = state[:, case_cell_index].copy()
-        macro_sub_dt = span * dt_s / n_substeps
-        total_move = np.zeros(state.shape[0], dtype=float)
-        for _ in range(n_substeps):
-            new_state = simulator.transient_step_many_from_maps(
-                state, maps_rows, boundary, macro_sub_dt
-            )
-            total_move = np.maximum(
-                total_move, np.max(np.abs(new_state - state), axis=1)
-            )
-            state = new_state
-        end_case = state[:, case_cell_index]
-        fractions = (np.arange(1, span + 1, dtype=float) / span)[:, np.newaxis]
-        case_hist = entry_case[np.newaxis, :] + fractions * (
-            end_case - entry_case
-        )[np.newaxis, :]
-        starts = np.vstack([entry_case[np.newaxis, :], case_hist[:-1]])
-        peak_hist = np.maximum(case_hist, starts)
-        residuals = total_move / span
-        return state, case_hist, peak_hist, residuals

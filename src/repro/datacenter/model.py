@@ -137,9 +137,11 @@ class CoarseningConfig:
     Spans are quantized to powers of two between ``min_span`` and
     ``max_span`` (both must be powers of two themselves) so the macro-step
     ``dt`` values stay within the factorization cache's LRU bound.
-    ``rom`` configures the reduced-order lane the span steps through
-    (:class:`~repro.thermal.rom.RomConfig`); ``None`` keeps pure
-    macro-stepping through the full solver.
+    ``rom`` configures the reduced-order lane every span is evaluated in
+    (:class:`~repro.thermal.rom.RomConfig`): its basis size and the error
+    tolerances beyond which rows fall back to the full solver.  There is
+    no coarsening without that error control, so ``rom`` must be a
+    ``RomConfig``.
     """
 
     min_span: int = 4
@@ -147,7 +149,7 @@ class CoarseningConfig:
     quasi_steady_tol_c: float = 0.05
     guard_band_c: float = 2.0
     relax_guard_c: float = 0.5
-    rom: RomConfig | None = RomConfig()
+    rom: RomConfig = RomConfig()
 
     def __post_init__(self) -> None:
         if self.min_span < 2:
@@ -170,6 +172,8 @@ class CoarseningConfig:
         check_positive(self.quasi_steady_tol_c, "quasi_steady_tol_c")
         check_positive(self.guard_band_c, "guard_band_c")
         check_positive(self.relax_guard_c, "relax_guard_c")
+        if not isinstance(self.rom, RomConfig):
+            raise ConfigurationError(f"rom must be a RomConfig, got {self.rom!r}")
 
 
 @dataclass
@@ -444,12 +448,15 @@ class DatacenterModel:
     coarsening:
         A :class:`CoarseningConfig` enables adaptive control-period
         coarsening: quasi-steady stretches advance in dyadic multi-period
-        macro-steps — through the reduced-order
-        Krylov lane when the config carries a
-        :class:`~repro.thermal.rom.RomConfig` — and any actuator event,
-        residual growth, envelope step or constraint proximity drops back
-        to single-period stepping.  ``None`` (default) keeps every period
-        at full resolution.
+        spans through the reduced-order Krylov lane of its
+        :class:`~repro.thermal.rom.RomConfig` (rows whose error bound or
+        guard band trips rerun the span at full resolution), and any
+        actuator event, residual growth, envelope step or constraint
+        proximity drops back to single-period stepping.  Every rack's
+        thermal simulator must then carry a solver cache, where the
+        reduced operators live; a cache-less one raises
+        :class:`~repro.exceptions.ConfigurationError`.  ``None`` (default)
+        keeps every period at full resolution.
     parallel_groups:
         Worker-thread budget handed to the
         :class:`~repro.datacenter.floor.FloorEngine`: ``>= 2`` advances
@@ -558,6 +565,17 @@ class DatacenterModel:
         self.boundary_refresh_tol = boundary_refresh_tol
         self.adaptive_boundary_refresh = adaptive_boundary_refresh
         self.coarsening = coarsening
+        if coarsening is not None:
+            cacheless = [
+                rack.name
+                for rack, simulator in zip(self.racks, self.rack_simulators)
+                if simulator.solver_cache is None
+            ]
+            if cacheless:
+                raise ConfigurationError(
+                    "coarsening needs a thermal simulator with a solver cache; "
+                    f"racks without one: {', '.join(map(repr, cacheless))}"
+                )
         if parallel_groups < 0:
             raise ConfigurationError(
                 f"parallel_groups must be >= 0, got {parallel_groups}"
@@ -914,7 +932,7 @@ class DatacenterSession:
         Only valid under :meth:`_plan_span`'s eligibility contract (held
         loads, no pending actuator event, warm floor).  The floor marches
         the whole span through :meth:`FloorEngine.advance_span` (reduced
-        space, full fallback, or macro-step — see there); the fast decision
+        space or full fallback — see there); the fast decision
         rule is evaluated once, on the final period's physics, exactly
         where the fine lane would next be allowed to act.  Held periods
         are recorded as full :class:`DatacenterPeriod`\\ s at the held

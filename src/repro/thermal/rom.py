@@ -1,12 +1,13 @@
-"""Reduced-order thermal lane: Krylov-projected backward-Euler stepping.
+"""Reduced-order thermal lane: Krylov-projected backward-Euler spans.
 
 A datacenter floor in quasi-steady state pays a full multi-RHS
 back-substitution per substep for fields that barely move.  This module
 projects the backward-Euler operator of one ``(cooling boundary, dt)``
-pair onto a small Krylov subspace and steps the transient there —
-``O(k^2)`` per step instead of a sparse triangular solve — lifting back
-only what the controller reads (the per-server case-cell temperature)
-until the span ends, when the full field is reconstructed once.
+pair onto a small Krylov subspace and evaluates a whole span of substeps
+there in closed form — a few dense ``O(k)``-wide products instead of a
+sparse triangular solve per substep — lifting back only what the
+controller reads (the per-server case-cell temperature) until the span
+ends, when the full field is reconstructed once.
 
 Subspace construction
 ---------------------
@@ -37,13 +38,36 @@ smallest-capacitance cells).  Because ``M`` is a contraction the per-step
 bounds accumulate additively on top of the entry projection error
 ``||T0 - V V^T T0||_inf``.
 
-Power injections are held for a whole coarse span (that is what makes
-the span quasi-steady), so the residual evolves smoothly along it; the
-marcher samples the bound at the first and last reduced substep of the
-span — two ``(n, k)`` mat-vecs per span, not per step — and charges the
-sampled maximum for every substep.  That keeps the whole ROM span free
-of per-step ``O(n)`` work while remaining a faithful estimate, and the
-golden-model tests pin the end-to-end error empirically.
+Closed-form span evaluation
+---------------------------
+Power injections and the boundary are held for a whole coarse span (that
+is what makes the span quasi-steady), so the reduced march is the linear
+time-invariant recurrence ``c+ = S c + a`` with
+``S = K_r^{-1} C_r``, ``K_r = V^T (K + C/dt) V`` and ``C_r = V^T (C/dt) V``.
+Both reduced matrices are congruence projections of symmetric positive
+(semi)definite matrices, which is the passivity-preserving projection of
+PRIMA (Odabasioglu, Celik & Pileggi, IEEE TCAD 1998): the generalized
+symmetric eigenproblem ``C_r w = lambda K_r w`` has real rates
+``0 < lambda < 1`` and ``K_r``-orthonormal modes ``W``.  In modal
+coordinates ``z = W^T K_r c`` the recurrence decouples into
+``z_j = z_inf + Lambda^j (z_0 - z_inf)`` with ``z_inf = W^T rhs_r /
+(1 - lambda)``.  ``eigh`` needs the pair symmetrized, which perturbs it
+at the rounding level of its assembly; the fixed point is therefore
+refined once against ``K_r - C_r`` as assembled, so the perturbation
+only touches the decaying transient, never the absolute temperature
+level.  :func:`build_reduced_operator` computes the modal form once per
+operator, and :meth:`ReducedOperator.march_span` evaluates a
+whole span from it: the case-cell readout of every substep is one
+``(substeps, k) @ (k, rows)`` product, and only the handful of substeps
+the checks below need are reconstructed in full coordinates.
+
+The residual evolves smoothly along a held-power span, so the a-posteriori
+bound is sampled at the first, middle and last reduced substep of the
+span — six ``(n, k)`` mat-vecs per span, stacked into one residual
+evaluation, not per step — and the sampled maximum is charged for every
+substep.  That keeps the whole ROM span free of per-step ``O(n)`` work
+while remaining a faithful estimate, and the golden-model tests pin the
+end-to-end error empirically.
 
 Whenever that accumulated bound — or the lifted case temperature's
 proximity to the thermal constraint — exceeds tolerance, the caller falls
@@ -67,7 +91,13 @@ from scipy import linalg as dense_linalg
 from repro.obs.telemetry import Counters
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["ReducedOperator", "RomConfig", "RomStats", "build_reduced_operator"]
+__all__ = [
+    "ReducedOperator",
+    "RomConfig",
+    "RomSpan",
+    "RomStats",
+    "build_reduced_operator",
+]
 
 
 @dataclass(frozen=True)
@@ -208,30 +238,66 @@ del _field_name
 
 
 @dataclass(frozen=True)
+class RomSpan:
+    """Outcome of one reduced span for a solve group of ``m`` rows.
+
+    ``end_fields`` is the ``(m, n)`` lifted state at span end;
+    ``case_hist`` / ``peak_hist`` are ``(span, m)`` per-period-end case
+    temperatures and within-period peaks; ``residuals`` the per-row
+    movement over the last period; ``error`` the accumulated a-posteriori
+    bound.  The three masks are the fallback causes — the entry state left
+    the basis, the error bound tripped, or the error-inflated peak entered
+    the guard band — and a row may carry more than one.
+    """
+
+    end_fields: np.ndarray
+    case_hist: np.ndarray
+    peak_hist: np.ndarray
+    residuals: np.ndarray
+    error: np.ndarray
+    projection_fail: np.ndarray
+    error_fail: np.ndarray
+    guard_fail: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Rows whose reduced span is accepted (no fallback cause)."""
+        return ~(self.projection_fail | self.error_fail | self.guard_fail)
+
+
+@dataclass(frozen=True)
 class ReducedOperator:
     """One ``(cooling boundary, dt)`` operator projected onto a Krylov basis.
 
-    ``basis`` is the orthonormal ``(n_cells, k)`` matrix ``V``.  The
-    reduced step solves ``(V^T K_dt V) y+ = V^T b + (V^T (C/dt) V) y``
-    through a dense LU of the ``k x k`` matrix; ``conductance_basis``
-    (``K V``) and ``capacitance_basis`` (``(C/dt) V``) are precomputed so
-    the full-space residual of a reduced iterate costs two ``(n, k)``
-    mat-vecs.  ``inverse_capacitance_dt`` is the per-cell ``dt / c_i``
-    weight that converts a residual into a rigorous temperature error
-    bound through the ``M``-contraction (see the module docstring).
+    ``basis`` is the orthonormal ``(n_cells, k)`` matrix ``V``;
+    ``conductance_basis`` (``K V``) and ``capacitance_basis``
+    (``(C/dt) V``) are precomputed so the full-space residual of a reduced
+    iterate costs two ``(n, k)`` mat-vecs.  ``inverse_capacitance_dt`` is
+    the per-cell ``dt / c_i`` weight that converts a residual into a
+    rigorous temperature error bound through the ``M``-contraction (see
+    the module docstring).
+
+    ``reduced_conductance`` is ``K_r - C_r``, the steady-state operator of
+    the reduced step.  The step itself is held in modal form:
+    ``modal_rates`` are the generalized eigenvalues ``lambda`` of
+    ``(C_r, K_r)``, ``modal_basis`` the ``K_r``-orthonormal modes ``W``,
+    ``modal_projector`` the map ``W^T K_r`` from reduced to modal
+    coordinates and ``modal_case_readout`` the case-cell row of ``V W``.
     """
 
     basis: np.ndarray
     dt_s: float
     boundary_rhs: np.ndarray
-    reduced_lu: tuple
-    reduced_capacitance: np.ndarray
     conductance_basis: np.ndarray
     capacitance_basis: np.ndarray
     basis_boundary_rhs: np.ndarray
     case_cell_index: int
     inverse_capacitance_dt: np.ndarray
-    step_matrix: np.ndarray
+    reduced_conductance: np.ndarray
+    modal_rates: np.ndarray
+    modal_basis: np.ndarray
+    modal_projector: np.ndarray
+    modal_case_readout: np.ndarray
 
     @property
     def order(self) -> int:
@@ -267,24 +333,8 @@ class ReducedOperator:
         return self.basis[self.case_cell_index] @ coords
 
     # ------------------------------------------------------------------ #
-    # Stepping
+    # Span evaluation
     # ------------------------------------------------------------------ #
-    def step(self, coords: np.ndarray, reduced_rhs: np.ndarray) -> np.ndarray:
-        """One backward-Euler step in reduced space (``O(k^2)`` per row)."""
-        rhs = reduced_rhs + self.reduced_capacitance @ coords
-        return dense_linalg.lu_solve(self.reduced_lu, rhs)
-
-    def affine_term(self, reduced_rhs: np.ndarray) -> np.ndarray:
-        """``K_r^{-1} rhs_r`` — the constant part of the affine step map.
-
-        The RHS is held for a whole coarse span, so the marcher factors the
-        step into ``y+ = step_matrix @ y + affine`` and pays one dense
-        ``lu_solve`` per span; each substep is then a bare ``(k, k)``
-        matmul, with none of the LAPACK wrapper overhead that would
-        otherwise dominate at small ``k``.
-        """
-        return dense_linalg.lu_solve(self.reduced_lu, reduced_rhs)
-
     def step_error_bound(
         self,
         coords_new: np.ndarray,
@@ -293,21 +343,132 @@ class ReducedOperator:
     ) -> np.ndarray:
         """Per-row sup-norm error bound of one reduced step.
 
-        ``full_rhs`` is ``(m, n)``: ``boundary_rhs + power_vector`` per
-        row.  The residual of the lifted iterate is assembled from the
-        precomputed ``K V`` and ``(C/dt) V`` factors and weighted by the
-        per-cell ``dt / c_i`` gain — a rigorous (M-matrix) bound on the
-        true error added by this step, valid to accumulate across a span
-        because the step map is a sup-norm contraction.
+        ``coords_new`` / ``coords_old`` are ``(..., k, m)`` — any leading
+        axes batch several steps into one evaluation — and ``full_rhs`` is
+        ``(m, n)``: ``boundary_rhs + power_vector`` per row; the result is
+        ``(..., m)``.  The residual of the lifted iterate is assembled from
+        the precomputed ``K V`` and ``(C/dt) V`` factors and weighted by
+        the per-cell ``dt / c_i`` gain — a rigorous (M-matrix) bound on
+        the true error added by this step, valid to accumulate across a
+        span because the step map is a sup-norm contraction.
         """
-        residual = (
-            self.conductance_basis @ coords_new
-            + self.capacitance_basis @ (coords_new - coords_old)
-            - full_rhs.T
+        new_rows = np.swapaxes(coords_new, -1, -2)
+        moved_rows = new_rows - np.swapaxes(coords_old, -1, -2)
+        residual = new_rows @ self.conductance_basis.T
+        residual += moved_rows @ self.capacitance_basis.T
+        residual -= full_rhs
+        np.abs(residual, out=residual)
+        residual *= self.inverse_capacitance_dt
+        return residual.max(axis=-1)
+
+    def march_span(
+        self,
+        coords: np.ndarray,
+        entry_error: np.ndarray,
+        power_vectors: np.ndarray,
+        span: int,
+        n_substeps: int,
+        t_case_max_c: float | None,
+        config: RomConfig,
+    ) -> RomSpan:
+        """Evaluate ``span`` periods of ``n_substeps`` reduced steps at once.
+
+        ``coords`` / ``entry_error`` come from :meth:`project` of the ``m``
+        entry fields, ``power_vectors`` are their held ``(m, n)`` power
+        injections.  The span is evaluated in closed form from the modal
+        decomposition (see the module docstring); the error bound is
+        sampled at substeps ``0``, ``N // 2`` and ``N - 1`` of the
+        ``N = span * n_substeps`` substeps, and ``t_case_max_c`` (when
+        given) arms the guard-band test.
+        """
+        m = coords.shape[1]
+        n_steps = span * n_substeps
+        rates = self.modal_rates
+        modes = self.modal_basis
+        reduced_rhs = self.reduce_rhs(power_vectors)
+
+        def modal_solve(rhs: np.ndarray) -> np.ndarray:
+            # (K_r - C_r)^{-1} rhs through the symmetrized modal form.
+            return modes @ ((modes.T @ rhs) / (1.0 - rates)[:, np.newaxis])
+
+        # The span's fixed point, refined once against the reduced
+        # conductance as assembled (see the module docstring).
+        steady = modal_solve(reduced_rhs)
+        steady += modal_solve(reduced_rhs - self.reduced_conductance @ steady)
+        offset = self.modal_projector @ (coords - steady)
+        # Lambda^j weighs the entry offset after j substeps.  For substep
+        # j = p * n_substeps + q + 1 it factors into a period power
+        # Lambda^(p * n_substeps) and a within-period power Lambda^(q + 1),
+        # so the case readout of all substeps is one batched product of
+        # shape (n_substeps, span, m).
+        within = rates ** np.arange(1, n_substeps + 1)[:, np.newaxis]
+        periods = within[-1] ** np.arange(span)[:, np.newaxis]
+        cases = self.case_temperatures(steady) + periods @ (
+            within[:, :, np.newaxis] * (self.modal_case_readout[:, np.newaxis] * offset)
         )
-        return np.max(
-            np.abs(residual) * self.inverse_capacitance_dt[:, np.newaxis], axis=0
+        case_hist = cases[-1]
+        peak_hist = cases.max(axis=0)
+
+        # Full reduced coordinates only where the checks read them: both
+        # ends of every sampled step, the start of the last period and the
+        # span end.
+        sampled = sorted({0, n_steps // 2, n_steps - 1})
+        later = sorted(
+            {*sampled, *(j + 1 for j in sampled), n_steps - n_substeps, n_steps} - {0}
         )
+        transients = modes @ (
+            rates[:, np.newaxis] ** np.array(later)[:, np.newaxis, np.newaxis] * offset
+        )
+        states = {0: coords, **dict(zip(later, steady + transients))}
+
+        bounds = self.step_error_bound(
+            np.stack([states[j + 1] for j in sampled]),
+            np.stack([states[j] for j in sampled]),
+            self.boundary_rhs[np.newaxis, :] + power_vectors,
+        )
+        error = entry_error + bounds.max(axis=0) * n_steps
+        guard_fail = np.zeros(m, dtype=bool)
+        if t_case_max_c is not None:
+            # Error-inflated proximity test: the ROM never arbitrates a
+            # constraint decision.
+            guard_fail = (
+                peak_hist.max(axis=0) + error >= t_case_max_c - config.guard_band_c
+            )
+
+        end = states[n_steps]
+        lifted = self.lift(np.hstack([end, end - states[n_steps - n_substeps]]))
+        return RomSpan(
+            end_fields=lifted[:m],
+            case_hist=case_hist,
+            peak_hist=peak_hist,
+            residuals=np.max(np.abs(lifted[m:]), axis=1),
+            error=error,
+            projection_fail=entry_error > config.projection_tol_c,
+            error_fail=error > config.step_error_tol_c,
+            guard_fail=guard_fail,
+        )
+
+
+def _modal_form(
+    reduced_stiffness: np.ndarray, reduced_capacitance: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rates, ``K_r``-orthonormal modes and modal projector of the step map.
+
+    Solves ``C_r w = lambda K_r w`` on the symmetrized pair and returns
+    ``(lambda, W, W^T K_r)``.  A passive projection puts every rate
+    strictly inside ``(0, 1)``; anything else means the step map is not a
+    contraction and the closed form would diverge, so it is rejected here
+    rather than marched.
+    """
+    stiffness = 0.5 * (reduced_stiffness + reduced_stiffness.T)
+    capacitance = 0.5 * (reduced_capacitance + reduced_capacitance.T)
+    rates, modes = dense_linalg.eigh(capacitance, stiffness)
+    if not np.all((rates > 0.0) & (rates < 1.0)):
+        raise ValueError(
+            "reduced step map is not a passive contraction: modal rates "
+            f"span [{rates.min():.3g}, {rates.max():.3g}], need (0, 1)"
+        )
+    return rates, modes, modes.T @ stiffness
 
 
 def _orthonormal_columns(columns: np.ndarray, max_basis: int) -> np.ndarray:
@@ -374,19 +535,21 @@ def build_reduced_operator(
     conductance, _ = network.conductance_system(cooling)
     conductance_basis = np.asarray(conductance @ basis, dtype=float)
     capacitance_basis = capacitance_over_dt[:, np.newaxis] * basis
-    reduced_system = basis.T @ (conductance_basis + capacitance_basis)
-    reduced_lu = dense_linalg.lu_factor(reduced_system)
+    reduced_stiffness = basis.T @ (conductance_basis + capacitance_basis)
     reduced_capacitance = basis.T @ capacitance_basis
+    rates, modes, projector = _modal_form(reduced_stiffness, reduced_capacitance)
     return ReducedOperator(
         basis=basis,
         dt_s=float(dt_s),
         boundary_rhs=boundary_rhs,
-        reduced_lu=reduced_lu,
-        reduced_capacitance=reduced_capacitance,
         conductance_basis=conductance_basis,
         capacitance_basis=capacitance_basis,
         basis_boundary_rhs=basis.T @ boundary_rhs,
         case_cell_index=int(case_cell_index),
         inverse_capacitance_dt=float(dt_s) / np.asarray(network.capacitance, dtype=float),
-        step_matrix=dense_linalg.lu_solve(reduced_lu, reduced_capacitance),
+        reduced_conductance=reduced_stiffness - reduced_capacitance,
+        modal_rates=rates,
+        modal_basis=modes,
+        modal_projector=projector,
+        modal_case_readout=basis[case_cell_index] @ modes,
     )

@@ -62,7 +62,8 @@ from repro.thermal.rom import ReducedOperator, RomConfig
 __all__ = ["FORMAT_VERSION", "WarmStore", "WarmStoreStats"]
 
 #: Bump when the on-disk entry layout changes; old entries become stale.
-FORMAT_VERSION = 1
+#: Version 2 stores the reduced step map in modal form (``modal_*`` arrays).
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,6 @@ class WarmStore:
 
     def store_reduced(self, key: tuple, operator: ReducedOperator) -> bool:
         """Persist a cold-built reduced operator (first write wins)."""
-        lu_matrix, lu_pivots = operator.reduced_lu
         payload = {
             "format_version": np.array(FORMAT_VERSION),
             "kind": np.array("reduced"),
@@ -230,14 +230,15 @@ class WarmStore:
             "case_cell_index": np.array(operator.case_cell_index),
             "basis": operator.basis,
             "boundary_rhs": operator.boundary_rhs,
-            "lu_matrix": np.asarray(lu_matrix),
-            "lu_pivots": np.asarray(lu_pivots),
-            "reduced_capacitance": operator.reduced_capacitance,
             "conductance_basis": operator.conductance_basis,
             "capacitance_basis": operator.capacitance_basis,
             "basis_boundary_rhs": operator.basis_boundary_rhs,
             "inverse_capacitance_dt": operator.inverse_capacitance_dt,
-            "step_matrix": operator.step_matrix,
+            "reduced_conductance": operator.reduced_conductance,
+            "modal_rates": operator.modal_rates,
+            "modal_basis": operator.modal_basis,
+            "modal_projector": operator.modal_projector,
+            "modal_case_readout": operator.modal_case_readout,
         }
         return self._write_entry(self._entry_path("reduced", key), payload)
 
@@ -252,14 +253,16 @@ class WarmStore:
                 basis=payload["basis"],
                 dt_s=float(payload["dt_s"]),
                 boundary_rhs=payload["boundary_rhs"],
-                reduced_lu=(payload["lu_matrix"], payload["lu_pivots"]),
-                reduced_capacitance=payload["reduced_capacitance"],
                 conductance_basis=payload["conductance_basis"],
                 capacitance_basis=payload["capacitance_basis"],
                 basis_boundary_rhs=payload["basis_boundary_rhs"],
                 case_cell_index=int(payload["case_cell_index"]),
                 inverse_capacitance_dt=payload["inverse_capacitance_dt"],
-                step_matrix=payload["step_matrix"],
+                reduced_conductance=payload["reduced_conductance"],
+                modal_rates=payload["modal_rates"],
+                modal_basis=payload["modal_basis"],
+                modal_projector=payload["modal_projector"],
+                modal_case_readout=payload["modal_case_readout"],
             )
         except KeyError:
             self._count(stale=1, reduced_misses=1)

@@ -20,7 +20,7 @@ from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.pipeline import CooledServerSimulation
 from repro.core.session import T_CASE_MAX_C
 from repro.core.runtime_controller import RackServer, ThermosyphonController
-from repro.datacenter.model import DatacenterModel, RackSpec
+from repro.datacenter.model import CoarseningConfig, DatacenterModel, RackSpec
 from repro.datacenter.scenarios import (
     SCENARIO_KINDS,
     build_scenario,
@@ -265,6 +265,23 @@ class TestDatacenterValidation:
         with pytest.raises(ConfigurationError, match=r"3\.0 s.*2\.0 s"):
             floor.session().run(duration_s=3.0)
         assert floor.run_trace(duration_s=4.0).n_periods == 2
+
+    def test_coarsening_on_cacheless_simulator_rejected_naming_racks(
+        self, floorplan, power_model
+    ):
+        """Coarsening needs the solver cache its reduced operators live in;
+        a cache-less simulator is refused up front, not run on another lane."""
+        scenario = _scenario(floorplan, kind="diurnal", n_racks=1, servers_per_rack=2)
+        with pytest.raises(ConfigurationError, match=scenario.racks[0].name):
+            DatacenterModel(
+                scenario.racks,
+                floorplan=floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(
+                    floorplan, cell_size_mm=CELL_SIZE_MM, use_solver_cache=False
+                ),
+                coarsening=CoarseningConfig(),
+            )
 
     def test_non_multiple_supervisory_period_rejected(
         self, floorplan, power_model

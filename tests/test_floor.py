@@ -106,6 +106,20 @@ class TestFloorEngineValidation:
         with pytest.raises(ValidationError):
             engine.advance([[load], [load]], 2.0)
 
+    def test_span_on_cacheless_simulator_rejected(self, floorplan, x264):
+        """The reduced lane keeps its operators in the solver cache: a warm
+        cache-less floor refuses a span instead of running another lane."""
+        simulator = ThermalSimulator(
+            floorplan, cell_size_mm=CELL_SIZE_MM, use_solver_cache=False
+        )
+        engine = FloorEngine(
+            [RackSession(1, floorplan=floorplan, thermal_simulator=simulator)]
+        )
+        loads = [[ServerLoad(benchmark=x264, mapping=_mapping(floorplan, x264))]]
+        engine.advance(loads, 2.0)
+        with pytest.raises(ConfigurationError, match="solver cache"):
+            engine.advance_span(loads, 2.0, 4)
+
 
 class TestMixedSkuEquivalence:
     def test_bit_identical_to_standalone_rack_traces(

