@@ -290,4 +290,4 @@ def test_bench_longtrace_100k_periods(capsys):
             f"periods), speedup {speedup:.1f}x; spans {coarse.coarse_spans}, "
             f"rom stats {coarse.rom_stats}"
         )
-    assert speedup >= 4.0
+    assert speedup >= 5.0

@@ -44,9 +44,10 @@ rows.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,7 +62,33 @@ from repro.obs.telemetry import get_telemetry
 from repro.thermal.rom import RomConfig, RomSpan, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
 
-__all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot", "FloorSpanAdvance"]
+if TYPE_CHECKING:
+    from repro.thermal.simulator import ThermalSimulator
+
+__all__ = [
+    "FloorAdvance",
+    "FloorEngine",
+    "FloorSnapshot",
+    "FloorSpanAdvance",
+    "require_solver_caches",
+]
+
+
+def require_solver_caches(racks: Iterable[tuple[str, ThermalSimulator]]) -> None:
+    """Refuse coarse spans on racks whose simulator has no solver cache.
+
+    ``racks`` pairs each rack's name with its thermal simulator.  The
+    reduced-order lane keeps its operators beside the cache's LU factors,
+    so without a cache there is no span lane to run; the
+    :class:`ConfigurationError` names every rack that lacks one.
+    """
+    cacheless = [name for name, simulator in racks if simulator.solver_cache is None]
+    if cacheless:
+        raise ConfigurationError(
+            "coarse spans need a thermal simulator with a solver cache (the "
+            "reduced-order lane stores its operators there); racks without "
+            f"one: {', '.join(map(repr, cacheless))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -525,16 +552,14 @@ class FloorEngine:
                 self._prepare_period(rack_loads, force_boundary_refresh)
             )
 
-            # Warm and cache checks for every group *before* dispatching
+            # Cache and warm checks for every group *before* dispatching
             # workers, so a bad floor raises deterministically (and no worker
             # has started mutating group state when it does).
+            require_solver_caches(
+                (f"rack {r}", session.thermal_simulator)
+                for r, session in enumerate(self.rack_sessions)
+            )
             for group in self._groups:
-                if group.simulator.solver_cache is None:
-                    raise ConfigurationError(
-                        "advance_span requires thermal simulators with a "
-                        "solver cache (the reduced-order lane stores its "
-                        "operators there)"
-                    )
                 if group.fields is None:
                     raise ConfigurationError(
                         "advance_span requires a warm floor; advance at least "

@@ -51,7 +51,7 @@ from repro.core.runtime_controller import (
     mapping_at_frequency,
 )
 from repro.core.session import T_CASE_MAX_C
-from repro.datacenter.floor import FloorEngine, FloorSnapshot
+from repro.datacenter.floor import FloorEngine, FloorSnapshot, require_solver_caches
 from repro.datacenter.span import SpanPlanner
 from repro.thermal.rom import RomConfig, RomStats
 from repro.thermal.warm_store import WarmStore
@@ -566,16 +566,10 @@ class DatacenterModel:
         self.adaptive_boundary_refresh = adaptive_boundary_refresh
         self.coarsening = coarsening
         if coarsening is not None:
-            cacheless = [
-                rack.name
+            require_solver_caches(
+                (rack.name, simulator)
                 for rack, simulator in zip(self.racks, self.rack_simulators)
-                if simulator.solver_cache is None
-            ]
-            if cacheless:
-                raise ConfigurationError(
-                    "coarsening needs a thermal simulator with a solver cache; "
-                    f"racks without one: {', '.join(map(repr, cacheless))}"
-                )
+            )
         if parallel_groups < 0:
             raise ConfigurationError(
                 f"parallel_groups must be >= 0, got {parallel_groups}"
