@@ -32,8 +32,11 @@ Two execution modes are offered by :meth:`ThermosyphonController.run_trace`:
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.pipeline import CooledServerSimulation
@@ -310,7 +313,44 @@ class RackServer:
     trace: PhasedTrace | None = None
 
 
-@dataclass
+#: The trace's int8 action codes: ``_ACTIONS[code]`` is the action.
+_ACTIONS = tuple(ControllerAction)
+_ACTION_CODE = {action: code for code, action in enumerate(_ACTIONS)}
+_NONE_CODE = _ACTION_CODE[ControllerAction.NONE]
+
+
+def _grown(column: np.ndarray, rows: int) -> np.ndarray:
+    """``column`` with room for at least ``rows`` rows (capacity doubles)."""
+    if rows <= column.shape[0]:
+        return column
+    grown = np.empty((max(rows, 2 * column.shape[0]),) + column.shape[1:], column.dtype)
+    grown[: column.shape[0]] = column
+    return grown
+
+
+class RackPeriods(Sequence):
+    """``RackTrace.periods``: one tuple of decisions per period, decoded on access."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "RackTrace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace._n_periods
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._trace._decode(t) for t in range(len(self))[index]]
+        return self._trace._decode(range(len(self))[operator.index(index)])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+@dataclass(eq=False)
 class RackTrace:
     """Time series of per-server controller decisions over a whole rack.
 
@@ -324,32 +364,168 @@ class RackTrace:
     simulator; both fields are None without a solver cache) — on a
     homogeneous rack the batched engine pays one factorization where
     per-server sessions would pay ``n_servers``.
+
+    The decisions are stored as NumPy columns, not as objects.  The
+    per-period fields — time, case temperature, within-period peak and an
+    int8 action code — have one row per period.  The fields a coarse span
+    holds — die hot spot, package power, flow, frequency and settle
+    residual — have one *held row* per committed step (a fine period or a
+    whole span), and every period points at its step's row, so committing
+    a span writes two temperature slices, one action slice and one held
+    row however long it is.  ``periods`` and :meth:`server_decisions`
+    decode :class:`ControllerDecision` values on access; the aggregates
+    read the columns directly.  Rack traces always carry the transient
+    diagnostics (``settle_residual_c``, ``period_peak_case_c``) as floats.
     """
 
-    periods: list[tuple[ControllerDecision, ...]] = field(default_factory=list)
     chiller_power_w: list[float] = field(default_factory=list)
     control_period_s: float = 2.0
     mode: str = "transient"
     factorizations: int | None = None
     cache_stats: CacheStats | None = None
 
+    def __post_init__(self) -> None:
+        self._n_periods = 0
+        self._n_held = 0
+        # Per period; the per-server columns get their width at the first commit.
+        self._time_s = np.empty(0)
+        self._held = np.empty(0, dtype=np.int32)
+        self._case_c = np.empty((0, 0))
+        self._peak_c = np.empty((0, 0))
+        self._action = np.empty((0, 0), dtype=np.int8)
+        # Per held row: die hot spot, package power, flow, frequency, residual.
+        self._held_fields = np.empty((0, 5, 0))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RackTrace):
+            return NotImplemented
+        return (
+            self.periods == other.periods
+            and self.chiller_power_w == other.chiller_power_w
+            and self.control_period_s == other.control_period_s
+            and self.mode == other.mode
+            and self.factorizations == other.factorizations
+            and self.cache_stats == other.cache_stats
+        )
+
+    # ------------------------------------------------------------------ #
+    # Commit path
+    # ------------------------------------------------------------------ #
+    def append(self, time_s: float, decisions: Sequence[ControllerDecision]) -> None:
+        """Commit the per-server decisions of the control period at ``time_s``."""
+        self.append_span((time_s,), decisions, None, None)
+
+    def append_span(
+        self,
+        times_s: Sequence[float],
+        decisions: Sequence[ControllerDecision],
+        period_case_c: np.ndarray | None,
+        period_peak_case_c: np.ndarray | None,
+    ) -> None:
+        """Commit a held span of ``len(times_s)`` control periods.
+
+        ``decisions`` are the span's final-period decisions.  Every earlier
+        period ``j`` holds their die hot spot, power, flow, frequency and
+        settle residual with a ``NONE`` action, and takes its case
+        temperature and within-period peak from row ``j`` of the
+        ``(span, n_servers)`` arrays (``None`` for a one-period span).
+        """
+        span = len(times_s)
+        start, end = self._n_periods, self._n_periods + span
+        held = self._n_held
+        if end > self._time_s.shape[0] or held >= self._held_fields.shape[0]:
+            self._reserve(end, held + 1, len(decisions))
+        final = np.array(
+            [
+                (
+                    d.case_temperature_c,
+                    d.period_peak_case_c,
+                    d.die_hot_spot_c,
+                    d.package_power_w,
+                    d.water_flow_kg_h,
+                    d.frequency_ghz,
+                    d.settle_residual_c,
+                )
+                for d in decisions
+            ],
+            dtype=float,
+        ).reshape(len(decisions), 7)
+        self._time_s[start:end] = times_s
+        self._held[start:end] = held
+        if span > 1:
+            self._case_c[start : end - 1] = period_case_c[:-1]
+            self._peak_c[start : end - 1] = period_peak_case_c[:-1]
+            self._action[start : end - 1] = _NONE_CODE
+        self._case_c[end - 1] = final[:, 0]
+        self._peak_c[end - 1] = final[:, 1]
+        self._action[end - 1] = [_ACTION_CODE[d.action] for d in decisions]
+        self._held_fields[held] = final[:, 2:].T
+        self._n_periods = end
+        self._n_held = held + 1
+
+    def _reserve(self, periods: int, held_rows: int, n_servers: int) -> None:
+        if self._n_periods == 0:
+            self._case_c = np.empty((0, n_servers))
+            self._peak_c = np.empty((0, n_servers))
+            self._action = np.empty((0, n_servers), dtype=np.int8)
+            self._held_fields = np.empty((0, 5, n_servers))
+        self._time_s = _grown(self._time_s, periods)
+        self._held = _grown(self._held, periods)
+        self._case_c = _grown(self._case_c, periods)
+        self._peak_c = _grown(self._peak_c, periods)
+        self._action = _grown(self._action, periods)
+        self._held_fields = _grown(self._held_fields, held_rows)
+
+    def trim(self) -> None:
+        """Release spare column capacity once the trace is complete."""
+        n, k = self._n_periods, self._n_held
+        self._time_s = self._time_s[:n].copy()
+        self._held = self._held[:n].copy()
+        self._case_c = self._case_c[:n].copy()
+        self._peak_c = self._peak_c[:n].copy()
+        self._action = self._action[:n].copy()
+        self._held_fields = self._held_fields[:k].copy()
+
+    # ------------------------------------------------------------------ #
+    # Read path
+    # ------------------------------------------------------------------ #
+    def _decode(self, t: int) -> tuple[ControllerDecision, ...]:
+        time_s = float(self._time_s[t])
+        die, power, flow, frequency, residual = self._held_fields[self._held[t]].tolist()
+        return tuple(
+            ControllerDecision(time_s, *fields[:5], _ACTIONS[fields[5]], *fields[6:])
+            for fields in zip(
+                self._case_c[t].tolist(), die, power, flow, frequency,
+                self._action[t].tolist(), residual, self._peak_c[t].tolist(),
+            )
+        )
+
+    @property
+    def periods(self) -> RackPeriods:
+        """``periods[t][s]``: server ``s``'s decision at period ``t``."""
+        return RackPeriods(self)
+
     @property
     def n_periods(self) -> int:
         """Number of executed control periods."""
-        return len(self.periods)
+        return self._n_periods
 
     @property
     def n_servers(self) -> int:
-        """Number of servers in the rack."""
-        return len(self.periods[0]) if self.periods else 0
+        """Number of servers in the rack (0 before the first period)."""
+        return self._case_c.shape[1]
 
     def server_decisions(self, server: int) -> list[ControllerDecision]:
         """One server's decision series across the trace."""
         return [period[server] for period in self.periods]
 
+    def violations(self, t_case_max_c: float) -> int:
+        """(period, server) pairs whose within-period peak reached ``t_case_max_c``."""
+        return int(np.count_nonzero(self._peak_c[: self._n_periods] >= t_case_max_c))
+
     def _count(self, action: ControllerAction) -> int:
-        return sum(
-            1 for period in self.periods for d in period if d.action is action
+        return int(
+            np.count_nonzero(self._action[: self._n_periods] == _ACTION_CODE[action])
         )
 
     @property
@@ -370,21 +546,16 @@ class RackTrace:
     @property
     def peak_case_temperature_c(self) -> float:
         """Highest period-end case temperature across the rack and trace."""
-        return max(
-            (d.case_temperature_c for period in self.periods for d in period),
-            default=float("nan"),
-        )
+        if not self._n_periods:
+            return float("nan")
+        return float(self._case_c[: self._n_periods].max())
 
     @property
     def peak_period_case_temperature_c(self) -> float:
         """Highest case temperature including within-period transient peaks."""
-        peaks = [
-            d.period_peak_case_c
-            for period in self.periods
-            for d in period
-            if d.period_peak_case_c is not None
-        ]
-        return max(peaks) if peaks else self.peak_case_temperature_c
+        if not self._n_periods:
+            return float("nan")
+        return float(self._peak_c[: self._n_periods].max())
 
     @property
     def mean_chiller_power_w(self) -> float:
@@ -791,9 +962,10 @@ class ThermosyphonController:
                 self,
                 chiller,
             )
-            record.periods.append(decisions)
+            record.append(time_s, decisions)
             record.chiller_power_w.append(period_chiller_w)
             time_s += self.control_period_s
+        record.trim()
         if stats_before is not None and cache is not None:
             record.cache_stats = cache.stats.delta(stats_before)
             record.factorizations = record.cache_stats.misses

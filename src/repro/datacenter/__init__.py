@@ -43,6 +43,7 @@ from repro.datacenter.model import (
     DatacenterPeriod,
     DatacenterSession,
     DatacenterSnapshot,
+    DatacenterSpan,
     DatacenterTrace,
     RackSpec,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "DatacenterPeriod",
     "DatacenterSession",
     "DatacenterSnapshot",
+    "DatacenterSpan",
     "DatacenterTrace",
     "FloorAdvance",
     "FloorEngine",

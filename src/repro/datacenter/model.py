@@ -34,9 +34,12 @@ the merged solver-cache statistics of the whole floor.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.core.mapping import WorkloadMapping
 from repro.core.rack_session import RackAdvance, RackSession, ServerLoad
@@ -255,21 +258,9 @@ class DatacenterTrace:
         """(period, server) pairs whose within-period peak hit ``T_CASE_MAX``.
 
         Counts against the within-period transient peak — the strictest
-        reading of the constraint — falling back to the period-end value
-        where no transient diagnostic is present.
+        reading of the constraint.
         """
-        count = 0
-        for rack in self.racks:
-            for period in rack.periods:
-                for decision in period:
-                    peak = (
-                        decision.period_peak_case_c
-                        if decision.period_peak_case_c is not None
-                        else decision.case_temperature_c
-                    )
-                    if peak >= self.t_case_max_c:
-                        count += 1
-        return count
+        return sum(rack.violations(self.t_case_max_c) for rack in self.racks)
 
     @property
     def emergencies(self) -> int:
@@ -307,6 +298,37 @@ class DatacenterTrace:
     def overloaded_periods(self) -> int:
         """Periods the chiller bank ran beyond its available rated capacity."""
         return sum(1 for s in self.staging if s.overloaded)
+
+    def commit(self, step: "DatacenterPeriod | DatacenterSpan") -> None:
+        """Append one fine period or one coarse span to the trace.
+
+        A span is written as column slices per rack and repeated entries of
+        the floor-wide lists; no per-period object is decoded.
+        """
+        if isinstance(step, DatacenterPeriod):
+            for rack, decisions, chiller_w in zip(
+                self.racks, step.rack_decisions, step.rack_chiller_power_w
+            ):
+                rack.append(step.time_s, decisions)
+                rack.chiller_power_w.append(chiller_w)
+            self.setpoint_c.append(step.setpoint_c)
+            self.plant_power_w.append(step.plant_power_w)
+            if step.staging is not None:
+                self.staging.append(step.staging)
+            return
+        for r, rack in enumerate(self.racks):
+            rack.append_span(
+                step.time_s,
+                step.rack_decisions[r],
+                step.period_case_c[r],
+                step.period_peak_case_c[r],
+            )
+            rack.chiller_power_w.extend(
+                chiller_w[r] for chiller_w in step.rack_chiller_power_w
+            )
+        self.setpoint_c.extend([step.setpoint_c] * len(step))
+        self.plant_power_w.extend(step.plant_power_w)
+        self.staging.extend(step.staging)
 
     def summary(self) -> str:
         """Human-readable digest of the datacenter trace."""
@@ -388,6 +410,67 @@ class DatacenterPeriod:
     def plant_power_w(self) -> float:
         """Total plant electrical power this period."""
         return sum(self.rack_chiller_power_w)
+
+
+@dataclass(frozen=True, eq=False)
+class DatacenterSpan(Sequence):
+    """The control periods of one coarse span (step-wise API).
+
+    A sequence of :class:`DatacenterPeriod`\\ s decoded on access.  The
+    span's final period carries the fast decisions ``rack_decisions``
+    evaluated on its physics; every earlier period holds those decisions'
+    settings with a ``NONE`` action, its own time stamp, and its case
+    temperatures and within-period peaks from row ``j`` of
+    ``period_case_c[r]`` / ``period_peak_case_c[r]``.
+    ``rack_chiller_power_w[j]``, ``plant_power_w[j]`` and ``staging[j]``
+    are period ``j``'s energy bill (``staging`` is empty on a
+    single-``ChillerPlant`` floor).
+    """
+
+    time_s: tuple[float, ...]
+    setpoint_c: float
+    rack_decisions: tuple[tuple[ControllerDecision, ...], ...]
+    period_case_c: tuple[np.ndarray, ...]
+    period_peak_case_c: tuple[np.ndarray, ...]
+    period_worst_peak_c: np.ndarray
+    rack_chiller_power_w: tuple[tuple[float, ...], ...]
+    plant_power_w: tuple[float, ...]
+    staging: tuple[StagingDecision, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, index) -> DatacenterPeriod:
+        j = range(len(self))[operator.index(index)]
+        if j == len(self) - 1:
+            decisions = self.rack_decisions
+        else:
+            decisions = tuple(
+                tuple(
+                    replace(
+                        decision,
+                        time_s=self.time_s[j],
+                        action=ControllerAction.NONE,
+                        case_temperature_c=float(self.period_case_c[r][j, s]),
+                        period_peak_case_c=float(self.period_peak_case_c[r][j, s]),
+                    )
+                    for s, decision in enumerate(rack)
+                )
+                for r, rack in enumerate(self.rack_decisions)
+            )
+        return DatacenterPeriod(
+            time_s=self.time_s[j],
+            setpoint_c=self.setpoint_c,
+            rack_decisions=decisions,
+            rack_chiller_power_w=self.rack_chiller_power_w[j],
+            worst_period_peak_case_c=float(self.period_worst_peak_c[j]),
+            staging=self.staging[j] if self.staging else None,
+        )
+
+    @property
+    def worst_period_peak_case_c(self) -> float:
+        """Highest within-period peak case temperature of the span."""
+        return float(self.period_worst_peak_c.max())
 
 
 @dataclass(frozen=True)
@@ -920,7 +1003,7 @@ class DatacenterSession:
     # ------------------------------------------------------------------ #
     def advance_span(
         self, time_s: float, span: int, *, n_substeps: int | None = None
-    ) -> list[DatacenterPeriod]:
+    ) -> DatacenterSpan:
         """Advance ``span`` control periods in one quasi-steady macro-step.
 
         Only valid under :meth:`_plan_span`'s eligibility contract (held
@@ -928,8 +1011,8 @@ class DatacenterSession:
         the whole span through :meth:`FloorEngine.advance_span` (reduced
         space or full fallback — see there); the fast decision
         rule is evaluated once, on the final period's physics, exactly
-        where the fine lane would next be allowed to act.  Held periods
-        are recorded as full :class:`DatacenterPeriod`\\ s at the held
+        where the fine lane would next be allowed to act.  The returned
+        :class:`DatacenterSpan` records every held period at the held
         operating point — per-period case temperatures and within-period
         peaks come from the span lanes' readouts, the energy bill
         replicates the held actuator settings' chiller power (a staged
@@ -956,43 +1039,26 @@ class DatacenterSession:
             times.append(stamp)
             stamp += model.control_period_s
         final_decisions, rack_chiller_w = self._decide(span_advance.racks, times[-1])
-
-        periods: list[DatacenterPeriod] = []
-        for j in range(span):
-            if j == span - 1:
-                decisions_j = tuple(final_decisions)
-            else:
-                decisions_j = tuple(
-                    tuple(
-                        replace(
-                            decision,
-                            time_s=times[j],
-                            action=ControllerAction.NONE,
-                            case_temperature_c=float(
-                                span_advance.period_case_c[r][j, s]
-                            ),
-                            period_peak_case_c=float(
-                                span_advance.period_peak_case_c[r][j, s]
-                            ),
-                        )
-                        for s, decision in enumerate(final_decisions[r])
-                    )
-                    for r in range(model.n_racks)
-                )
-            staging_j, chiller_w_j = self._stage(rack_chiller_w, times[j])
-            periods.append(
-                DatacenterPeriod(
-                    time_s=times[j],
-                    setpoint_c=self.setpoint_c,
-                    rack_decisions=decisions_j,
-                    rack_chiller_power_w=tuple(chiller_w_j),
-                    worst_period_peak_case_c=float(
-                        span_advance.period_worst_peak_c[j]
-                    ),
-                    staging=staging_j,
-                )
-            )
-        return periods
+        if isinstance(model.plant, ChillerBank):
+            staged = [self._stage(rack_chiller_w, t) for t in times]
+            staging = tuple(staging for staging, _ in staged)
+            chiller_w = tuple(tuple(power) for _, power in staged)
+            plant_power_w = tuple(sum(power) for power in chiller_w)
+        else:
+            staging = ()
+            chiller_w = (tuple(rack_chiller_w),) * span
+            plant_power_w = (sum(chiller_w[0]),) * span
+        return DatacenterSpan(
+            time_s=tuple(times),
+            setpoint_c=self.setpoint_c,
+            rack_decisions=tuple(final_decisions),
+            period_case_c=span_advance.period_case_c,
+            period_peak_case_c=span_advance.period_peak_case_c,
+            period_worst_peak_c=span_advance.period_worst_peak_c,
+            rack_chiller_power_w=chiller_w,
+            plant_power_w=plant_power_w,
+            staging=staging,
+        )
 
     def _note_period(self, period: DatacenterPeriod) -> None:
         """Record the eligibility signals the coarsening planner reads."""
@@ -1091,8 +1157,10 @@ class DatacenterSession:
 
         The run length (``duration_s``, or the model's longest trace when
         omitted) must be a whole number of control periods, to a relative
-        tolerance of 1e-9; anything else raises :class:`ConfigurationError`
-        rather than silently running a longer final period.  With
+        tolerance of 1e-9, and must not exceed ``model.duration_s``;
+        anything else raises :class:`ConfigurationError` rather than
+        silently running a longer final period or idling past the end of
+        every scenario trace on its final phase.  With
         ``supervisory`` the slow loop decides every
         ``supervisory.period_s`` (which must be an integer multiple of the
         fast control period); its setpoint moves take effect from the next
@@ -1111,6 +1179,11 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         model = self.model
         duration = duration_s if duration_s is not None else model.duration_s
         check_positive(duration, "duration_s")
+        if duration > model.duration_s * (1.0 + 1e-9):
+            raise ConfigurationError(
+                f"run length duration_s={duration} s overruns the scenario: "
+                f"model.duration_s={model.duration_s} s is the longest trace"
+            )
         n_periods = round(duration / model.control_period_s)
         if abs(n_periods * model.control_period_s - duration) > 1e-9 * duration:
             raise ConfigurationError(
@@ -1167,43 +1240,26 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
             )
             with obs.span("session.span", span=span, reason=dropback):
                 if span > 1:
-                    periods = self.advance_span(time_s, span)
+                    step = self.advance_span(time_s, span)
                     trace.coarse_spans += 1
                     trace.coarse_periods += span
                 else:
-                    periods = [self.advance_period(time_s)]
+                    step = self.advance_period(time_s)
             if obs.enabled:
                 obs.inc("session.spans")
                 obs.inc("session.periods", span)
                 if dropback is not None:
                     obs.inc(f"coarsen.dropback.{dropback}")
-            # Span-boundary accounting: one bulk commit per span.  The
-            # planner never lets a span cross a supervisory window
-            # boundary, so the window block below only needs to run at the
-            # span end — per-period bookkeeping collapses to list extends,
-            # a max over the span's peaks and one eligibility note on the
-            # final period (intermediate notes are never read: no plan
-            # happens inside a span).  The per-period float time
-            # accumulation is kept verbatim so phase lookups stay
-            # bit-identical to the fine lane's.
-            for r in range(model.n_racks):
-                rack_trace = trace.racks[r]
-                rack_trace.periods.extend(
-                    period.rack_decisions[r] for period in periods
-                )
-                rack_trace.chiller_power_w.extend(
-                    period.rack_chiller_power_w[r] for period in periods
-                )
-            trace.setpoint_c.extend(period.setpoint_c for period in periods)
-            trace.plant_power_w.extend(period.plant_power_w for period in periods)
-            if periods[0].staging is not None:
-                trace.staging.extend(period.staging for period in periods)
-            window_peak = max(
-                window_peak,
-                max(period.worst_period_peak_case_c for period in periods),
-            )
-            period_index += len(periods)
-            for _ in periods:
+            # One bulk commit per step: a span lands as column slices, and
+            # the planner never lets it cross a supervisory window
+            # boundary, so the window block below only runs at the step's
+            # end.  The per-period float time accumulation is kept
+            # verbatim so phase lookups stay bit-identical to the fine
+            # lane's.
+            trace.commit(step)
+            window_peak = max(window_peak, step.worst_period_peak_case_c)
+            period_index += span
+            for _ in range(span):
                 # Accumulate exactly like run_rack_trace so the per-period
                 # phase lookups see bit-identical times on a fixed-setpoint
                 # run.
@@ -1211,7 +1267,7 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
             # Note the final period's eligibility signals *before* the
             # window block: a setpoint move below must leave the next
             # period fine (set_setpoint clears the signals).
-            self._note_period(periods[-1])
+            self._note_period(step if span == 1 else step[-1])
             if (
                 supervisory is not None
                 and period_index % periods_per_window == 0
@@ -1244,6 +1300,8 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
                 trace.supervisory_decisions.append(decision)
                 self.set_setpoint(decision.next_setpoint_c)
                 window_peak = float("-inf")
+        for rack_trace in trace.racks:
+            rack_trace.trim()
         if rom_before is not None:
             trace.rom_stats = self.floor_engine.rom_stats.delta(rom_before)
         if caches:

@@ -255,7 +255,7 @@ def run_reference_floor(
                 model.policy,
                 chiller,
             )
-            trace.racks[r].periods.append(decisions)
+            trace.racks[r].append(time_s, decisions)
             trace.racks[r].chiller_power_w.append(period_chiller_w)
             rack_chiller_w.append(period_chiller_w)
         trace.setpoint_c.append(setpoint_c)

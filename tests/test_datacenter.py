@@ -266,6 +266,20 @@ class TestDatacenterValidation:
             floor.session().run(duration_s=3.0)
         assert floor.run_trace(duration_s=4.0).n_periods == 2
 
+    def test_run_past_the_scenario_end_rejected_naming_both_lengths(
+        self, floorplan, power_model
+    ):
+        """A run longer than every trace is refused, not idled on the final phase."""
+        scenario = build_scenario(
+            "diurnal", n_racks=1, servers_per_rack=1, duration_s=20.0,
+            seed=1, floorplan=floorplan,
+        )
+        floor = _floor(scenario, floorplan, power_model)
+        assert floor.duration_s == 20.0
+        with pytest.raises(ConfigurationError, match=r"200\.0 s.*duration_s=20\.0 s"):
+            floor.session().run(duration_s=200.0)
+        assert floor.run_trace(duration_s=20.0).n_periods == 10
+
     def test_coarsening_on_cacheless_simulator_rejected_naming_racks(
         self, floorplan, power_model
     ):
